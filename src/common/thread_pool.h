@@ -16,9 +16,10 @@
 namespace cdpd {
 
 /// A small fixed-size worker pool for the CPU-bound fan-out of the
-/// design optimizers (what-if cost-matrix precomputation, per-stage DP
-/// relaxation). Tasks are plain std::function<void()>; ParallelFor
-/// below is the only entry point the solvers use.
+/// design optimizers (what-if cost-matrix precomputation, dominance
+/// pruning, segment-solver chunks). Tasks are plain
+/// std::function<void()>; ParallelFor below is the only entry point
+/// the solvers use.
 ///
 /// The pool is safe to share between concurrent ParallelFor calls. A
 /// ParallelFor issued *from inside a worker thread* (nested use) runs

@@ -16,7 +16,8 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                                        const ProgressFn* progress,
                                        Logger* logger,
                                        ResourceTracker* tracker,
-                                       CostCache* cost_cache) {
+                                       CostCache* cost_cache,
+                                       CostCacheTally* cache_tally) {
   if (problem.what_if == nullptr) {
     return Status::InvalidArgument("design problem has no what-if oracle");
   }
@@ -150,12 +151,13 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
           result.schedule,
           SolveUnconstrained(reduced_problem, &graph_stats, pool, tracer,
                              graph_budget, progress, logger, tracker,
-                             cost_cache));
+                             cost_cache, cache_tally));
     } else {
       CDPD_ASSIGN_OR_RETURN(
           result.schedule,
           SolveKAware(reduced_problem, *k, &graph_stats, pool, tracer,
-                      graph_budget, progress, logger, tracker, cost_cache));
+                      graph_budget, progress, logger, tracker, cost_cache,
+                      cache_tally));
     }
   }
   result.stats.nodes_expanded = graph_stats.nodes_expanded;

@@ -86,7 +86,8 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                                        const ProgressFn* progress = nullptr,
                                        Logger* logger = nullptr,
                                        ResourceTracker* tracker = nullptr,
-                                       CostCache* cost_cache = nullptr);
+                                       CostCache* cost_cache = nullptr,
+                                       CostCacheTally* cache_tally = nullptr);
 
 }  // namespace cdpd
 

@@ -23,7 +23,8 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
                                  const Budget* budget,
                                  const ProgressFn* progress, Logger* logger,
                                  ResourceTracker* tracker,
-                                 CostCache* cost_cache) {
+                                 CostCache* cost_cache,
+                                 CostCacheTally* cache_tally) {
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
   }
@@ -34,7 +35,7 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
     CDPD_ASSIGN_OR_RETURN(
         unconstrained,
         SolveUnconstrained(problem, &result.stats, pool, tracer, budget,
-                           progress, logger, tracker, cost_cache));
+                           progress, logger, tracker, cost_cache, cache_tally));
   }
   const int64_t l = CountChanges(problem, unconstrained.configs);
   result.unconstrained_changes = l;
@@ -75,7 +76,7 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
     CDPD_TRACE_SPAN(tracer, "hybrid.kaware", "solver", k);
     Result<DesignSchedule> kaware = SolveKAware(
         problem, k, &phase_stats, pool, tracer, budget, progress, logger,
-        tracker, cost_cache);
+        tracker, cost_cache, cache_tally);
     if (kaware.ok()) {
       result.schedule = std::move(kaware).value();
       result.choice = HybridChoice::kKAwareGraph;
@@ -102,7 +103,7 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
     CDPD_TRACE_SPAN(tracer, "hybrid.kaware", "solver", k);
     Result<DesignSchedule> kaware = SolveKAware(
         problem, k, &phase_stats, pool, tracer, budget, progress, logger,
-        tracker, cost_cache);
+        tracker, cost_cache, cache_tally);
     if (kaware.ok()) {
       result.schedule = std::move(kaware).value();
       result.choice = HybridChoice::kKAwareGraph;

@@ -84,7 +84,8 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
                                  const ProgressFn* progress = nullptr,
                                  Logger* logger = nullptr,
                                  ResourceTracker* tracker = nullptr,
-                                 CostCache* cost_cache = nullptr);
+                                 CostCache* cost_cache = nullptr,
+                                 CostCacheTally* cache_tally = nullptr);
 
 }  // namespace cdpd
 

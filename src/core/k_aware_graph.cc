@@ -1,11 +1,86 @@
 #include "core/k_aware_graph.h"
 
+#include <cstdint>
 #include <limits>
 
 #include "common/math_util.h"
 #include "common/stopwatch.h"
 
 namespace cdpd {
+namespace {
+
+/// Candidate counts up to which the parent table stores predecessor
+/// config ids in 2-byte cells (ids 0..65534 fit uint16_t).
+constexpr size_t kNarrowParentConfigs = 65535;
+
+int64_t ParentCellBytes(int64_t num_configs) {
+  return num_configs <= static_cast<int64_t>(kNarrowParentConfigs)
+             ? int64_t{sizeof(uint16_t)}
+             : int64_t{sizeof(int32_t)};
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Relaxes every (layer, config) cell of one DP stage from the previous
+/// stage's `dist` into `next`, recording each reached cell's
+/// predecessor config in `stage_parent` (the predecessor layer is
+/// implied: a stay edge keeps (l, c), a change edge comes from l - 1
+/// with a config != c). Serial ascending sweeps: every cell's argmin
+/// scans its predecessors in fixed order, so the tie-breaks are those
+/// of the textbook p = 0..m-1 loop. Returns the reachable cells.
+template <typename Pred>
+int64_t RelaxStage(const CostMatrix& matrix, size_t stage, size_t layers,
+                   size_t m, const double* dist, double* next,
+                   Pred* stage_parent) {
+  int64_t reached = 0;
+  for (size_t c = 0; c < m; ++c) {
+    // One transposed TRANS row per destination config, reused across
+    // every layer of this stage: the row stays cache-hot while the
+    // layer loop sweeps it, and each sweep is a unit-stride read
+    // (trans_into[p] == Trans(p, c)) instead of a stride-m gather.
+    const double* trans_into = matrix.TransInto(c);
+    const double exec = matrix.Exec(stage, c);
+    for (size_t l = 0; l < layers; ++l) {
+      const size_t cell = l * m + c;
+      // Stay edge: same configuration, same layer. An unreachable
+      // cell carries +inf through unchanged — no guard needed.
+      double best = dist[cell];
+      size_t best_prev = c;
+      // Change edges: arrive from a different configuration one layer
+      // up. The p == c exclusion becomes two contiguous ranges [0, c)
+      // and (c, m); both sweep ascending, so the argmin tie-break
+      // matches the p = 0..m-1 scan. Unreachable predecessors need no
+      // kInf guard either: inf + finite = inf never wins `cost < best`.
+      if (l > 0) {
+        const double* prev_layer = dist + (l - 1) * m;
+        for (size_t p = 0; p < c; ++p) {
+          const double cost = prev_layer[p] + trans_into[p];
+          if (cost < best) {
+            best = cost;
+            best_prev = p;
+          }
+        }
+        for (size_t p = c + 1; p < m; ++p) {
+          const double cost = prev_layer[p] + trans_into[p];
+          if (cost < best) {
+            best = cost;
+            best_prev = p;
+          }
+        }
+      }
+      if (best < kInf) {
+        next[cell] = best + exec;
+        stage_parent[cell] = static_cast<Pred>(best_prev);
+        ++reached;
+      } else {
+        next[cell] = kInf;
+      }
+    }
+  }
+  return reached;
+}
+
+}  // namespace
 
 KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages, int64_t num_configs,
                                        int64_t k) {
@@ -51,11 +126,10 @@ int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
   int64_t bytes = SaturatingMul(
       SaturatingMul(int64_t{2}, layer_cells),
       static_cast<int64_t>(sizeof(double)));
-  // parent: n x layers x m cells of 8 bytes ({int32 layer, int32
-  // config}).
+  // parent: n x layers x m predecessor-config cells.
   bytes = SaturatingAdd(
       bytes, SaturatingMul(SaturatingMul(num_stages, layer_cells),
-                           int64_t{8}));
+                           ParentCellBytes(num_configs)));
   // init_trans + final_trans boundary vectors.
   bytes = SaturatingAdd(
       bytes, SaturatingMul(SaturatingMul(int64_t{2}, num_configs),
@@ -68,7 +142,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                                    Tracer* tracer, const Budget* budget,
                                    const ProgressFn* progress, Logger* logger,
                                    ResourceTracker* tracker,
-                                   CostCache* cost_cache) {
+                                   CostCache* cost_cache,
+                                   CostCacheTally* cache_tally) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -157,7 +232,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
                                              progress, logger, cost_cache,
-                                             tracker));
+                                             tracker, cache_tally));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "
@@ -172,17 +247,25 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     });
   }
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   // dist[l * m + c]: cheapest way to execute S_1..S_i with
   // C_i = configs[c] using exactly layer l (number of changes
   // consumed).
   std::vector<double> dist(layers * m, kInf);
-  struct Parent {
-    int32_t layer = -1;
-    int32_t config = -1;
+  // Predecessor config of cell (stage, l, c) at index
+  // (stage * layers + l) * m + c, for path reconstruction: 2-byte
+  // cells while config ids fit, 4-byte otherwise (one table is empty).
+  const bool narrow_parent = m <= kNarrowParentConfigs;
+  std::vector<uint16_t> parent16(narrow_parent ? n * layers * m : 0);
+  std::vector<int32_t> parent32(narrow_parent ? 0 : n * layers * m);
+  // One backtrack step from cell (stage, *l, *c) to its predecessor at
+  // stage - 1: a different config means a change edge from layer l - 1.
+  const auto step_back = [&](size_t stage, size_t* l, size_t* c) {
+    const size_t cell = (stage * layers + *l) * m + *c;
+    const auto prev = static_cast<size_t>(narrow_parent ? parent16[cell]
+                                                        : parent32[cell]);
+    if (prev != *c) --*l;
+    *c = prev;
   };
-  // parent[(stage * layers + l) * m + c] for path reconstruction.
-  std::vector<Parent> parent(n * layers * m);
 
   for (size_t c = 0; c < m; ++c) {
     const bool is_initial = configs[c] == problem.initial;
@@ -196,11 +279,10 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     }
   }
 
-  // Phase 2: the layered DP, one parallel sweep over the (layer,
-  // config) cells per stage. Each cell depends only on the previous
-  // stage's dist array and scans predecessors in the same order as the
-  // serial loop, so the argmin (and hence the schedule) is
-  // thread-count-invariant.
+  // Phase 2: the layered DP, one serial sweep over the (layer, config)
+  // cells per stage. A stage holds only layers x m cells, too little
+  // work to amortize a pool round trip and barrier per stage; the pool
+  // is kept for the coarse-grained precompute above.
   std::vector<double> next(layers * m, kInf);
 
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
@@ -242,9 +324,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     size_t l = best_l;
     size_t c = best_c;
     for (size_t stage = last_stage; stage-- > 0;) {
-      const Parent p = parent[((stage + 1) * layers + l) * m + c];
-      l = static_cast<size_t>(p.layer);
-      c = static_cast<size_t>(p.config);
+      step_back(stage + 1, &l, &c);
       frozen.configs[stage] = configs[c];
     }
     frozen.total_cost = EvaluateScheduleCost(problem, frozen.configs);
@@ -271,59 +351,14 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                    static_cast<double>(stage) / static_cast<double>(n));
     CDPD_TRACE_SPAN(tracer, "kaware.stage", "solver",
                     static_cast<int64_t>(stage));
-    Parent* stage_parent = parent.data() + stage * layers * m;
-    const double* dist_data = dist.data();
-    ParallelFor(pool, 0, m, [&](size_t c) {
-      // One transposed TRANS row per destination config, reused across
-      // every layer of this stage: the row stays cache-hot while the
-      // layer loop sweeps it, and each sweep is a unit-stride read
-      // (trans_into[p] == Trans(p, c)) instead of a stride-m gather.
-      const double* trans_into = matrix.TransInto(c);
-      const double exec = matrix.Exec(stage, c);
-      for (size_t l = 0; l < layers; ++l) {
-        const size_t cell = l * m + c;
-        // Stay edge: same configuration, same layer. An unreachable
-        // cell carries +inf through unchanged — no guard needed.
-        double best = dist_data[cell];
-        Parent best_parent =
-            Parent{static_cast<int32_t>(l), static_cast<int32_t>(c)};
-        // Change edges: arrive from a different configuration one
-        // layer up. The p == c exclusion becomes two contiguous
-        // ranges [0, c) and (c, m); both sweep ascending, so the
-        // argmin tie-break matches the serial p = 0..m-1 scan.
-        // Unreachable predecessors need no kInf guard either:
-        // inf + finite = inf never wins `cost < best`.
-        if (l > 0) {
-          const double* prev_layer = dist_data + (l - 1) * m;
-          for (size_t p = 0; p < c; ++p) {
-            const double cost = prev_layer[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = Parent{static_cast<int32_t>(l - 1),
-                                   static_cast<int32_t>(p)};
-            }
-          }
-          for (size_t p = c + 1; p < m; ++p) {
-            const double cost = prev_layer[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = Parent{static_cast<int32_t>(l - 1),
-                                   static_cast<int32_t>(p)};
-            }
-          }
-        }
-        if (best < kInf) {
-          next[cell] = best + exec;
-          stage_parent[cell] = best_parent;
-        } else {
-          next[cell] = kInf;
-        }
-      }
-    });
+    const size_t stage_offset = stage * layers * m;
+    local_stats.nodes_expanded +=
+        narrow_parent
+            ? RelaxStage(matrix, stage, layers, m, dist.data(), next.data(),
+                         parent16.data() + stage_offset)
+            : RelaxStage(matrix, stage, layers, m, dist.data(), next.data(),
+                         parent32.data() + stage_offset);
     std::swap(dist, next);
-    for (size_t cell = 0; cell < layers * m; ++cell) {
-      if (dist[cell] < kInf) ++local_stats.nodes_expanded;
-    }
   }
   // Relaxation count (closed form, matching the serial edge counting:
   // one stay relaxation per cell plus m-1 change relaxations per cell
@@ -361,9 +396,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   for (size_t stage = n; stage-- > 0;) {
     schedule.configs[stage] = configs[c];
     if (stage == 0) break;
-    const Parent p = parent[(stage * layers + l) * m + c];
-    l = static_cast<size_t>(p.layer);
-    c = static_cast<size_t>(p.config);
+    step_back(stage, &l, &c);
   }
   ReportProgress(progress, "kaware.dp", 1.0, schedule.total_cost);
   CDPD_LOG(logger, LogLevel::kInfo, "kaware.end",

@@ -37,7 +37,8 @@ KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages,
 
 /// Predicted bytes of SolveKAware's DP working set — the dist/next
 /// arrays (2 x layers x m doubles), the parent table (n x layers x m
-/// 8-byte cells), and the boundary transition vectors — using the same
+/// predecessor-config cells: 2 bytes while m <= 65535, else 4), and
+/// the boundary transition vectors — using the same
 /// layer clamp the solver applies (layers = min(k, n - 1 +
 /// count_initial_change) + 1). This is the model the explain report
 /// quotes against the measured MemComponent::kKAwareTable peak, and
@@ -57,10 +58,10 @@ int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
 /// under the problem's change-counting policy.
 ///
 /// The solve first precomputes the dense EXEC/TRANS cost matrices
-/// (WhatIfEngine::PrecomputeCostMatrix) and then relaxes each stage's
-/// (layer, config) cells — both fanned out across `pool` when one is
-/// given. The schedule, cost, and stats are identical for any thread
-/// count (each DP cell is a pure function of the previous stage).
+/// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `pool` when
+/// one is given) and then relaxes each stage's (layer, config) cells
+/// serially — a stage is too little work to pay for a pool barrier.
+/// The schedule, cost, and stats are identical for any thread count.
 ///
 /// k must be >= 0. A bound larger than the most changes any schedule
 /// can make (n - 1 interior changes, plus the initial build when it
@@ -98,6 +99,7 @@ int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
 /// `cost_cache` (optional) is the persistent cross-solve what-if cache
 /// threaded into the precompute (see WhatIfEngine::PrecomputeCostMatrix
 /// and cost/cost_cache.h); it changes probe counts, never costs.
+/// `cache_tally` (optional) receives the solve's own cache traffic.
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                                    SolveStats* stats = nullptr,
                                    ThreadPool* pool = nullptr,
@@ -106,7 +108,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                                    const ProgressFn* progress = nullptr,
                                    Logger* logger = nullptr,
                                    ResourceTracker* tracker = nullptr,
-                                   CostCache* cost_cache = nullptr);
+                                   CostCache* cost_cache = nullptr,
+                                   CostCacheTally* cache_tally = nullptr);
 
 }  // namespace cdpd
 

@@ -119,7 +119,8 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
                                       const ProgressFn* progress,
                                       Logger* logger,
                                       ResourceTracker* tracker,
-                                      CostCache* cost_cache) {
+                                      CostCache* cost_cache,
+                                      CostCacheTally* cache_tally) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -176,7 +177,7 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(problem.candidates, pool, tracer,
                                              budget, progress, logger,
-                                             cost_cache, tracker));
+                                             cost_cache, tracker, cache_tally));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(

@@ -16,27 +16,17 @@ namespace cdpd {
 Status SegmentSolveOptions::Validate() const {
   if (num_chunks < 0) {
     return Status::InvalidArgument(
-        "segmented.num_chunks must be >= 0 (0 = auto, 1 = monolithic)");
-  }
-  if (min_chunk_stages == 0) {
-    return Status::InvalidArgument(
-        "segmented.min_chunk_stages must be positive");
+        "segmented.num_chunks must be >= 0 (0 = auto = monolithic)");
   }
   return Status::OK();
 }
 
 size_t ResolveNumChunks(const SegmentSolveOptions& options,
                         size_t num_stages) {
-  if (options.num_chunks == 1 || num_stages < 2) return 1;
-  if (options.num_chunks >= 2) {
-    return std::min(static_cast<size_t>(options.num_chunks), num_stages);
-  }
-  // Auto: one chunk per min_chunk_stages stages, capped. Deliberately
-  // independent of the thread count — the schedule must stay identical
-  // for any number of workers, and chunk count influences tie-breaks.
-  const size_t chunks = std::min(num_stages / options.min_chunk_stages,
-                                 SegmentSolveOptions::kMaxAutoChunks);
-  return chunks >= 2 ? chunks : 1;
+  // Auto is monolithic: chunking costs (m + 1)x the relaxations, so it
+  // is never chosen on the caller's behalf.
+  if (options.num_chunks <= 1 || num_stages < 2) return 1;
+  return std::min(static_cast<size_t>(options.num_chunks), num_stages);
 }
 
 namespace {
@@ -152,7 +142,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     const DesignProblem& problem, int64_t k, size_t num_chunks,
     SolveStats* stats, ThreadPool* pool, Tracer* tracer, const Budget* budget,
     const ProgressFn* progress, Logger* logger, ResourceTracker* tracker,
-    CostCache* cost_cache) {
+    CostCache* cost_cache, CostCacheTally* cache_tally) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -162,7 +152,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     // Degenerate decomposition: the monolithic DP is the same
     // computation without the redundancy.
     return SolveKAware(problem, k, stats, pool, tracer, budget, progress,
-                       logger, tracker, cost_cache);
+                       logger, tracker, cost_cache, cache_tally);
   }
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
@@ -266,7 +256,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
                                              progress, logger, cost_cache,
-                                             tracker));
+                                             tracker, cache_tally));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "

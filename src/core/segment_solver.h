@@ -18,31 +18,30 @@ namespace cdpd {
 
 /// Knobs of the segment-parallel k-aware solver (SolveOptions embeds
 /// one; only read for OptimizerMethod::kOptimal with a finite k).
+///
+/// Segmenting is opt-in. It performs (m + 1)x the monolithic DP's
+/// relaxations (one chunk DP per (chunk, entry config) pair plus a
+/// rebuild pass) to buy chunk-granularity parallelism, which only pays
+/// once the worker count passes ~m. On a 2001-stage, m = 24, k = 4
+/// sliding-window re-solve (4-vCPU host) it costs 1.086e8 relaxations
+/// against the monolithic 4.656e6, and ~130 ms per solve against
+/// ~20 ms at one thread (63-112 ms against 37 ms at four).
 struct SegmentSolveOptions {
   /// How many consecutive chunks to split the stage sequence into.
-  /// 0 = automatic (enough chunks that each holds ~min_chunk_stages
-  /// stages, capped at kMaxAutoChunks; short sequences resolve to 1);
-  /// 1 = always monolithic (the segmented path is off);
-  /// >= 2 = forced (clamped to the stage count). The schedule and cost
-  /// are exact for every value — chunking trades redundant per-entry
-  /// chunk work for coarse-grained parallelism — and the chunk count
-  /// never depends on the thread count, so results stay identical for
-  /// any number of workers.
+  /// 0 (auto) and 1 = monolithic: the plain SolveKAware DP runs;
+  /// >= 2 = segmented (clamped to the stage count). The schedule and
+  /// cost are exact for every value, and the chunk count never depends
+  /// on the thread count, so results stay identical for any number of
+  /// workers.
   int num_chunks = 0;
-  /// Automatic mode's stages-per-chunk granularity. Below ~64 the
-  /// m-entry redundancy of the chunk DP outweighs the parallelism.
-  size_t min_chunk_stages = 128;
-
-  /// Cap on automatically chosen chunks (keeps the boundary stitch DP
-  /// and the m-per-chunk entry redundancy negligible).
-  static constexpr size_t kMaxAutoChunks = 32;
 
   Status Validate() const;
 };
 
 /// The chunk count SolveKAwareSegmented will use for `num_stages` DP
 /// stages under `options` (after clamping); <= 1 means the monolithic
-/// SolveKAware runs instead. Deterministic and thread-count-free.
+/// SolveKAware runs instead. Auto (0) always resolves to 1.
+/// Deterministic and thread-count-free.
 size_t ResolveNumChunks(const SegmentSolveOptions& options,
                         size_t num_stages);
 
@@ -68,11 +67,12 @@ size_t ResolveNumChunks(const SegmentSolveOptions& options,
 /// the cost equals the monolithic DP optimum (the reported total is
 /// re-evaluated through EvaluateScheduleCost, like every solver).
 ///
-/// Compared to the monolithic DP this performs up to m x the relax
-/// work (one chunk DP per entry config) but parallelizes at chunk
-/// granularity — the monolithic DP's per-stage sweep over only m
-/// destination configs leaves every pool idle when m is small and n is
-/// huge, which is exactly the n = 10^6, m ~ 10 scaling regime.
+/// Compared to the monolithic DP this performs (m + 1)x the relax
+/// work (one chunk DP per entry config, then the rebuild) but
+/// parallelizes at chunk granularity, so it only wins with more
+/// workers than candidate configurations. Solve() runs it only for an
+/// explicit num_chunks >= 2; its chunk tables are also the natural
+/// checkpoints for an incremental re-solve of a sliding window.
 ///
 /// Anytime/memory semantics mirror SolveKAware coarsely: a budget
 /// expiry or a refused table reservation degrades to
@@ -86,7 +86,8 @@ Result<DesignSchedule> SolveKAwareSegmented(
     SolveStats* stats = nullptr, ThreadPool* pool = nullptr,
     Tracer* tracer = nullptr, const Budget* budget = nullptr,
     const ProgressFn* progress = nullptr, Logger* logger = nullptr,
-    ResourceTracker* tracker = nullptr, CostCache* cost_cache = nullptr);
+    ResourceTracker* tracker = nullptr, CostCache* cost_cache = nullptr,
+                                        CostCacheTally* cache_tally = nullptr);
 
 }  // namespace cdpd
 

@@ -194,18 +194,12 @@ Result<SolveResult> Solve(const DesignProblem& problem,
     }
   }
 
-  // Cache traffic is attributed to this solve centrally — deltas of
-  // the shared cache's counters around the dispatch — so compound
-  // methods (hybrid, greedy-seq, merging) never double count. With a
-  // shared cache and concurrent solves the deltas interleave, which is
-  // inherent to sharing; each counter is still exact in aggregate.
+  // Cache traffic is counted per call at the probes, into a tally this
+  // solve owns, so compound methods (hybrid, greedy-seq, merging)
+  // never double count and concurrent solves sharing the cache never
+  // see each other's traffic.
   CostCache* const cost_cache = options.cost_cache;
-  const int64_t cache_hits_before =
-      cost_cache != nullptr ? cost_cache->hits() : 0;
-  const int64_t cache_misses_before =
-      cost_cache != nullptr ? cost_cache->misses() : 0;
-  const int64_t cache_evictions_before =
-      cost_cache != nullptr ? cost_cache->evictions() : 0;
+  CostCacheTally cache_tally;
 
   SolveResult result;
   result.tracer = tracer;
@@ -217,7 +211,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache));
+                               progress, logger, &tracker, cost_cache,
+                               &cache_tally));
         result.method_detail = "sequence-graph shortest path";
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
@@ -228,14 +223,15 @@ Result<SolveResult> Solve(const DesignProblem& problem,
               result.schedule,
               SolveKAwareSegmented(*active, *options.k, chunks, &result.stats,
                                    pool, tracer, budget, progress, logger,
-                                   &tracker, cost_cache));
+                                   &tracker, cost_cache, &cache_tally));
           result.method_detail = "segment-parallel k-aware (" +
                                  std::to_string(chunks) + " chunks)";
         } else {
           CDPD_ASSIGN_OR_RETURN(
               result.schedule,
               SolveKAware(*active, *options.k, &result.stats, pool, tracer,
-                          budget, progress, logger, &tracker, cost_cache));
+                          budget, progress, logger, &tracker, cost_cache,
+                          &cache_tally));
           result.method_detail = "k-aware sequence graph";
         }
       }
@@ -245,7 +241,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       CDPD_ASSIGN_OR_RETURN(GreedySeqResult greedy_result,
                             SolveGreedySeq(*active, options.k, options.greedy,
                                            pool, tracer, budget, progress,
-                                           logger, &tracker, cost_cache));
+                                           logger, &tracker, cost_cache,
+                                           &cache_tally));
       result.schedule = std::move(greedy_result.schedule);
       result.stats = greedy_result.stats;
       result.reduced_candidates =
@@ -259,7 +256,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       CDPD_ASSIGN_OR_RETURN(
           DesignSchedule unconstrained,
           SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                             progress, logger, &tracker, cost_cache));
+                             progress, logger, &tracker, cost_cache,
+                             &cache_tally));
       result.unconstrained_cost = unconstrained.total_cost;
       if (!options.k.has_value()) {
         result.schedule = std::move(unconstrained);
@@ -282,7 +280,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache));
+                               progress, logger, &tracker, cost_cache,
+                               &cache_tally));
         result.method_detail = "ranking (no constraint; shortest path)";
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
@@ -290,7 +289,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
             result.schedule,
             SolveByRanking(*active, *options.k, options.ranking_max_paths,
                            &result.stats, pool, tracer, budget, progress,
-                           logger, &tracker, cost_cache));
+                           logger, &tracker, cost_cache, &cache_tally));
         result.method_detail =
             "ranked paths: " + std::to_string(result.stats.paths_enumerated);
       }
@@ -301,14 +300,15 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache));
+                               progress, logger, &tracker, cost_cache,
+                               &cache_tally));
         result.method_detail = "hybrid (no constraint; shortest path)";
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
         CDPD_ASSIGN_OR_RETURN(
             HybridResult hybrid,
             SolveHybrid(*active, *options.k, pool, tracer, budget, progress,
-                        logger, &tracker, cost_cache));
+                        logger, &tracker, cost_cache, &cache_tally));
         result.schedule = std::move(hybrid.schedule);
         result.stats = hybrid.stats;
         result.unconstrained_cost = hybrid.unconstrained_cost;
@@ -330,12 +330,13 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       static_cast<double>(ProcessCpuTimeMicros() - cpu_before) / 1e6;
   result.stats.threads_used = threads;
   if (cost_cache != nullptr) {
-    result.stats.cost_cache_hits = cost_cache->hits() - cache_hits_before;
+    result.stats.cost_cache_hits =
+        cache_tally.hits.load(std::memory_order_relaxed);
     result.stats.cost_cache_misses =
-        cost_cache->misses() - cache_misses_before;
+        cache_tally.misses.load(std::memory_order_relaxed);
     result.stats.cost_cache_evictions =
-        cost_cache->evictions() - cache_evictions_before;
-    // Timestamp-only span carrying the solve's hit delta, so a trace
+        cache_tally.evictions.load(std::memory_order_relaxed);
+    // Timestamp-only span carrying the solve's hit count, so a trace
     // shows at a glance whether the precompute ran warm or cold.
     TraceSpan cache_span(tracer, "solve.cost_cache", "solver");
     cache_span.set_arg(result.stats.cost_cache_hits);

@@ -48,7 +48,9 @@ struct SolveOptions {
   OptimizerMethod method = OptimizerMethod::kOptimal;
   /// Change bound k; nullopt = unconstrained (no magic -1 sentinel).
   std::optional<int64_t> k;
-  /// Worker threads for the what-if precompute and the DP sweeps.
+  /// Worker threads for the coarse-grained phases: the what-if
+  /// precompute, dominance pruning and the segment solver's chunks
+  /// (DP stages always relax serially).
   /// 0 = ThreadPool::DefaultThreadCount() (the CDPD_THREADS
   /// environment variable, else the hardware concurrency); 1 = serial.
   /// Results are identical for any value.
@@ -91,10 +93,10 @@ struct SolveOptions {
   bool prune_dominated = false;
 
   /// Segment-parallel solving of the k-aware DP (method == kOptimal
-  /// with k set only; see core/segment_solver.h). The default
-  /// (num_chunks = 0, auto) engages chunking only when the stage
-  /// sequence is long enough to amortize it, so short solves are
-  /// byte-identical to the monolithic path.
+  /// with k set only; see core/segment_solver.h). Opt-in: the default
+  /// (num_chunks = 0, auto) runs the monolithic DP, and only an
+  /// explicit num_chunks >= 2 pays the segmented solver's (m + 1)x
+  /// relaxations for chunk-granularity parallelism.
   SegmentSolveOptions segmented;
 
   /// Build a per-transition EXEC/TRANS attribution of the returned
@@ -143,7 +145,7 @@ struct SolveOptions {
   /// All option validation in one place: k >= 0 when set,
   /// num_threads >= 0, ranking_max_paths > 0, deadline >= 0 when set,
   /// memory_limit_bytes > 0 when set, greedy candidate indexes
-  /// present for kGreedySeq, and sensible segment widths
+  /// present for kGreedySeq, and a non-negative chunk count
   /// (segmented.Validate()).
   Status Validate() const;
 };
@@ -180,8 +182,9 @@ struct SolveResult {
 /// (options.k == nullopt) uniformly — methods whose constrained logic
 /// needs a bound fall back to the plain sequence-graph optimum, which
 /// is exact for all of them. A thread pool of options.num_threads
-/// workers is spun up for the what-if precompute and the parallel DP
-/// sweeps; schedules and costs are identical for any thread count.
+/// workers is spun up for the what-if precompute and the other
+/// coarse-grained phases; schedules and costs are identical for any
+/// thread count.
 ///
 /// With options.deadline / options.cancel set the solve is *anytime*:
 /// expiry or cancellation makes it return its best feasible schedule

@@ -19,11 +19,10 @@ SolverSession::SolverSession(SessionOptions options)
     : options_(std::move(options)) {
   if (options_.num_threads < 0) options_.num_threads = 0;
   if (options_.cost_cache_max_bytes < 0) options_.cost_cache_max_bytes = 0;
-  const int threads = options_.num_threads == 0
-                          ? ThreadPool::DefaultThreadCount()
-                          : options_.num_threads;
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads);
+  threads_ = options_.num_threads == 0 ? ThreadPool::DefaultThreadCount()
+                                       : options_.num_threads;
+  if (threads_ > 1) {
+    pool_ = std::make_unique<ThreadPool>(threads_);
     if (options_.observability.metrics != nullptr) {
       pool_->EnableMetrics(options_.observability.metrics);
     }
@@ -39,8 +38,11 @@ SolverSession::SolverSession(SessionOptions options)
 Result<SolveResult> SolverSession::Solve(const DesignProblem& problem,
                                          const SolveOptions& options) {
   SolveOptions effective = options;
-  // Per-call resources win; the session's fill the gaps.
+  // Per-call resources win; the session's fill the gaps. With no pool
+  // to lend, the session pins its own (serial) thread count so Solve()
+  // does not spawn a default-size pool: the session owns the threads.
   if (effective.pool == nullptr) effective.pool = pool_.get();
+  if (effective.pool == nullptr) effective.num_threads = threads_;
   if (effective.cost_cache == nullptr) {
     effective.cost_cache = cost_cache_.get();
   }

@@ -47,10 +47,12 @@ struct SessionOptions {
 ///
 /// Solve() forwards to the free Solve() with the session's pool and
 /// cache injected: a per-call SolveOptions::pool / cost_cache wins
-/// over the session's, per-call observability sinks win slot-by-slot
-/// over the session defaults (Observability::OrElse), and every other
-/// knob (method, k, deadlines, pruning, segmenting) stays strictly
-/// per-call in SolveOptions. Results are identical to calling the
+/// over the session's (a serial session, which has no pool, runs every
+/// call serially unless the call lends one), per-call observability
+/// sinks win slot-by-slot over the session defaults
+/// (Observability::OrElse), and every other knob (method, k,
+/// deadlines, pruning, segmenting) stays strictly per-call in
+/// SolveOptions. Results are identical to calling the
 /// free Solve() with the same effective options — the session only
 /// amortizes; it never changes schedules or costs.
 ///
@@ -86,6 +88,7 @@ class SolverSession {
 
  private:
   SessionOptions options_;
+  int threads_ = 1;  // Resolved options_.num_threads.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<CostCache> cost_cache_;
   mutable std::mutex mu_;

@@ -12,7 +12,8 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
                                           const ProgressFn* progress,
                                           Logger* logger,
                                           ResourceTracker* tracker,
-                                          CostCache* cost_cache) {
+                                          CostCache* cost_cache,
+                                          CostCacheTally* cache_tally) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
@@ -70,7 +71,7 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
                                              progress, logger, cost_cache,
-                                             tracker));
+                                             tracker, cache_tally));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(
@@ -142,16 +143,17 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
                    static_cast<double>(stage) / static_cast<double>(n));
     CDPD_TRACE_SPAN(tracer, "unconstrained.stage", "solver",
                     static_cast<int64_t>(stage));
+    // Serial: a stage's m cells are too little work to pay for a pool
+    // round trip and barrier; the pool serves the precompute above.
     std::vector<size_t>& stage_parent = parent[stage];
-    const double* dist_data = dist.data();
-    ParallelFor(pool, 0, m, [&](size_t c) {
+    for (size_t c = 0; c < m; ++c) {
       // Unit-stride sweep over the transposed TRANS row: for the fixed
       // destination c, trans_into[p] == Trans(p, c).
       const double* trans_into = matrix.TransInto(c);
       double best = kInf;
       size_t best_prev = 0;
       for (size_t p = 0; p < m; ++p) {
-        const double cost = dist_data[p] + trans_into[p];
+        const double cost = dist[p] + trans_into[p];
         if (cost < best) {
           best = cost;
           best_prev = p;
@@ -159,7 +161,7 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
       }
       next[c] = best + matrix.Exec(stage, c);
       stage_parent[c] = best_prev;
-    });
+    }
     std::swap(dist, next);
   }
   local_stats.nodes_expanded = static_cast<int64_t>(n * m);

@@ -25,11 +25,11 @@ namespace cdpd {
 /// Figure 1, in O(n * |candidates|^2) time (= O(n * 2^{2m}) when the
 /// candidate space is all subsets of m indexes).
 ///
-/// Precomputes the dense EXEC/TRANS matrices and relaxes each stage's
-/// configurations in parallel across `pool` when one is given; the
-/// result is identical for any thread count. With a `tracer` the solve
-/// records "unconstrained.precompute", "unconstrained.dp", and a
-/// "unconstrained.stage" span per DP stage.
+/// Precomputes the dense EXEC/TRANS matrices (in parallel across
+/// `pool` when one is given), then relaxes each stage's configurations
+/// serially; the result is identical for any thread count. With a
+/// `tracer` the solve records "unconstrained.precompute",
+/// "unconstrained.dp", and a "unconstrained.stage" span per DP stage.
 ///
 /// `budget` (optional) bounds the solve: expiry is polled between
 /// precompute blocks and DP stages. Anytime semantics — on expiry
@@ -55,15 +55,13 @@ namespace cdpd {
 /// `cost_cache` (optional) is the persistent cross-solve what-if cache
 /// threaded into the precompute (see WhatIfEngine::PrecomputeCostMatrix
 /// and cost/cost_cache.h); it changes probe counts, never costs.
-Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
-                                          SolveStats* stats = nullptr,
-                                          ThreadPool* pool = nullptr,
-                                          Tracer* tracer = nullptr,
-                                          const Budget* budget = nullptr,
-                                          const ProgressFn* progress = nullptr,
-                                          Logger* logger = nullptr,
-                                          ResourceTracker* tracker = nullptr,
-                                          CostCache* cost_cache = nullptr);
+/// `cache_tally` (optional) receives the solve's own cache traffic.
+Result<DesignSchedule> SolveUnconstrained(
+    const DesignProblem& problem, SolveStats* stats = nullptr,
+    ThreadPool* pool = nullptr, Tracer* tracer = nullptr,
+    const Budget* budget = nullptr, const ProgressFn* progress = nullptr,
+    Logger* logger = nullptr, ResourceTracker* tracker = nullptr,
+    CostCache* cost_cache = nullptr, CostCacheTally* cache_tally = nullptr);
 
 }  // namespace cdpd
 

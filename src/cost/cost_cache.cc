@@ -2,7 +2,8 @@
 
 namespace cdpd {
 
-bool CostCache::EnsureValid(uint64_t token, ResourceTracker* tracker) {
+bool CostCache::EnsureValid(uint64_t token, ResourceTracker* tracker,
+                            CostCacheTally* tally) {
   if (token_.load(std::memory_order_acquire) == token) return false;
   // One validator at a time: concurrent EnsureValid calls with the
   // same new token clear once, and a mid-solve token change (two
@@ -20,6 +21,7 @@ bool CostCache::EnsureValid(uint64_t token, ResourceTracker* tracker) {
   entries_.fetch_sub(dropped, std::memory_order_relaxed);
   if (dropped > 0) {
     evictions_.fetch_add(dropped, std::memory_order_relaxed);
+    if (tally != nullptr) tally->AddEvictions(dropped);
     if (tracker != nullptr) {
       tracker->ReleaseUpTo(MemComponent::kCostCache, dropped * kEntryBytes);
     }
@@ -48,7 +50,8 @@ bool CostCache::Lookup(uint64_t statement_fp, uint64_t config_mask,
   return true;
 }
 
-void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker) {
+void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker,
+                              CostCacheTally* tally) {
   // Coarse shard-granularity eviction: sweep shards in a deterministic
   // rotating order — each episode resumes where the last one stopped,
   // so sustained cap pressure cycles through all shards instead of
@@ -79,6 +82,7 @@ void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker) {
   // exactly once, at the end of the sweep, clamped to what this
   // tracker is actually carrying (entries charged by earlier trackers
   // must not drive the gauge negative).
+  if (tally != nullptr) tally->AddEvictions(dropped_total);
   if (dropped_total > 0 && tracker != nullptr) {
     tracker->ReleaseUpTo(MemComponent::kCostCache,
                          dropped_total * kEntryBytes);
@@ -86,7 +90,8 @@ void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker) {
 }
 
 bool CostCache::Insert(uint64_t statement_fp, uint64_t config_mask,
-                       double cost, ResourceTracker* tracker) {
+                       double cost, ResourceTracker* tracker,
+                       CostCacheTally* tally) {
   const Key key{statement_fp, config_mask};
   Shard& shard = ShardFor(key);
   {
@@ -99,7 +104,7 @@ bool CostCache::Insert(uint64_t statement_fp, uint64_t config_mask,
     }
   }
   if (max_bytes_ > 0 && ApproxBytes() + kEntryBytes > max_bytes_) {
-    EvictForSpace(kEntryBytes, tracker);
+    EvictForSpace(kEntryBytes, tracker, tally);
     if (ApproxBytes() + kEntryBytes > max_bytes_) return false;
   }
   // Charge the solve's budget before growing; a refusal trips the

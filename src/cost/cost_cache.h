@@ -12,6 +12,22 @@
 
 namespace cdpd {
 
+/// One caller's share of a CostCache's traffic, counted where it
+/// happens: hits and misses at the probe (WhatIfEngine's cached EXEC
+/// fill), evictions at the Insert/EnsureValid that caused them. Solve()
+/// owns one per call, so concurrent solves sharing a cache still report
+/// exactly their own traffic. Relaxed atomics: one solve's pool
+/// workers add to it concurrently.
+struct CostCacheTally {
+  std::atomic<int64_t> hits{0};
+  std::atomic<int64_t> misses{0};
+  std::atomic<int64_t> evictions{0};
+
+  void AddEvictions(int64_t dropped) {
+    if (dropped > 0) evictions.fetch_add(dropped, std::memory_order_relaxed);
+  }
+};
+
 /// Persistent what-if cost cache: (statement fingerprint, configuration
 /// bitmask) -> per-statement estimated cost. Unlike the WhatIfEngine's
 /// per-instance memo (which dies with the engine and hashes whole
@@ -52,8 +68,9 @@ namespace cdpd {
 ///
 /// Thread-safe: the table is sharded, each shard behind its own mutex,
 /// and every counter is a relaxed atomic — concurrent solves may share
-/// one cache (hits/misses observed across solves are then interleaved,
-/// which is inherent to a shared cache).
+/// one cache. The cache's own hits()/misses()/evictions() then
+/// aggregate every sharer's traffic; a solve reads its own share from
+/// the CostCacheTally it threads through its probes.
 class CostCache {
  public:
   /// `max_bytes` caps the cache's own footprint; <= 0 = unbounded.
@@ -74,8 +91,10 @@ class CostCache {
   /// returned to it under MemComponent::kCostCache, clamped to what
   /// that tracker is actually carrying (entries charged by an earlier,
   /// possibly dead tracker release nothing — see
-  /// ResourceTracker::ReleaseUpTo).
-  bool EnsureValid(uint64_t token, ResourceTracker* tracker = nullptr);
+  /// ResourceTracker::ReleaseUpTo). `tally` (optional) is charged the
+  /// dropped entries as evictions.
+  bool EnsureValid(uint64_t token, ResourceTracker* tracker = nullptr,
+                   CostCacheTally* tally = nullptr);
 
   /// Cached cost of (statement fingerprint, config mask), if present.
   /// Counts a hit or a miss.
@@ -89,9 +108,48 @@ class CostCache {
   /// cache never grows past a solve's budget. Returns true when the
   /// entry was stored. Idempotent for an existing key (no double
   /// charge; last write wins, and all writers compute the same value
-  /// for a given validity token).
+  /// for a given validity token). `tally` (optional) is charged the
+  /// entries this insert evicts to stay under max_bytes.
   bool Insert(uint64_t statement_fp, uint64_t config_mask, double cost,
-              ResourceTracker* tracker = nullptr);
+              ResourceTracker* tracker = nullptr,
+              CostCacheTally* tally = nullptr);
+
+  /// Cached cost of (statement fingerprint, config mask); on a miss
+  /// `compute()` prices it and the result is inserted under Insert's
+  /// budget rules. The key's shard stays locked across the computation
+  /// (`compute` must not touch the cache), so concurrent probes of one
+  /// key price it once: the first misses, the rest wait and hit. A key
+  /// therefore misses at most once while resident, however many solves
+  /// and workers share the cache. Counts the hit or miss like Lookup;
+  /// returns true on a hit.
+  template <typename Compute>
+  bool GetOrCompute(uint64_t statement_fp, uint64_t config_mask,
+                    Compute&& compute, double* cost,
+                    ResourceTracker* tracker = nullptr,
+                    CostCacheTally* tally = nullptr) {
+    const Key key{statement_fp, config_mask};
+    Shard& shard = ShardFor(key);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    if (const auto it = shard.map.find(key); it != shard.map.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      *cost = it->second;
+      return true;
+    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    *cost = compute();
+    if (max_bytes_ > 0 && ApproxBytes() + kEntryBytes > max_bytes_) {
+      // Eviction sweeps other shards' locks: take the general path.
+      lock.unlock();
+      Insert(statement_fp, config_mask, *cost, tracker, tally);
+      return false;
+    }
+    if (tracker == nullptr ||
+        tracker->TryReserve(MemComponent::kCostCache, kEntryBytes)) {
+      shard.map.emplace(key, *cost);
+      entries_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return false;
+  }
 
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -117,9 +175,9 @@ class CostCache {
   /// "cost_cache.entries" and "cost_cache.bytes" gauges plus the
   /// "cost_cache.invalidations" gauge. The per-solve hit/miss/evict
   /// traffic is published as "cost_cache.hits" / "cost_cache.misses" /
-  /// "cost_cache.evictions" counters by SolveStats::PublishTo (deltas
-  /// of one solve, so the registry accumulates exactly the traffic it
-  /// observed). No-op when `registry` is null.
+  /// "cost_cache.evictions" counters by SolveStats::PublishTo (one
+  /// solve's CostCacheTally, so the registry accumulates exactly the
+  /// traffic it observed). No-op when `registry` is null.
   void PublishTo(MetricsRegistry* registry) const;
 
  private:
@@ -158,8 +216,10 @@ class CostCache {
   /// under max_bytes_. The dropped entries' bytes are returned to
   /// `tracker` (clamped; see ReleaseUpTo) so the inserting solve's
   /// kCostCache gauge tracks resident entries, not historical inserts.
+  /// The dropped entries are also charged to `tally` (optional).
   /// Caller must not hold any shard lock.
-  void EvictForSpace(int64_t needed, ResourceTracker* tracker);
+  void EvictForSpace(int64_t needed, ResourceTracker* tracker,
+                     CostCacheTally* tally);
 
   const int64_t max_bytes_;
   std::atomic<size_t> sweep_cursor_{0};

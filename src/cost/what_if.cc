@@ -159,20 +159,28 @@ double WhatIfEngine::ComputeSegmentCost(size_t segment,
 double WhatIfEngine::CachedSegmentCost(size_t segment,
                                        const Configuration& config,
                                        uint64_t config_mask, CostCache* cache,
-                                       ResourceTracker* tracker) const {
+                                       ResourceTracker* tracker,
+                                       CostCacheTally* tally) const {
   double cost = 0.0;
   int64_t costed = 0;
   for (const ProfileEntry& entry : profiles_[segment]) {
     double statement_cost = 0.0;
-    if (!cache->Lookup(entry.fingerprint, config_mask, &statement_cost)) {
-      statement_cost = model_->StatementCost(entry.representative, config);
-      cache->Insert(entry.fingerprint, config_mask, statement_cost, tracker);
-      ++costed;
-    }
+    const bool hit = cache->GetOrCompute(
+        entry.fingerprint, config_mask,
+        [&] { return model_->StatementCost(entry.representative, config); },
+        &statement_cost, tracker, tally);
+    if (!hit) ++costed;
     // Summing in profile order, like ComputeSegmentCost: a cached
     // value is the exact double a miss computed, so the assembled cell
     // is bit-identical however the hit/miss pattern falls.
     cost += static_cast<double>(entry.count) * statement_cost;
+  }
+  if (tally != nullptr) {
+    const auto probes = static_cast<int64_t>(profiles_[segment].size());
+    if (probes > costed) {
+      tally->hits.fetch_add(probes - costed, std::memory_order_relaxed);
+    }
+    if (costed > 0) tally->misses.fetch_add(costed, std::memory_order_relaxed);
   }
   if (costed > 0) {
     costings_.fetch_add(costed, std::memory_order_relaxed);
@@ -248,7 +256,8 @@ class NonFiniteCell {
 Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     const CandidateSpace& candidates, ThreadPool* pool, Tracer* tracer,
     const Budget* budget, const ProgressFn* progress, Logger* logger,
-    CostCache* cost_cache, ResourceTracker* tracker) const {
+    CostCache* cost_cache, ResourceTracker* tracker,
+    CostCacheTally* cache_tally) const {
   const size_t n = segments_.size();
   const size_t m = candidates.size();
   CostMatrix matrix(n, m);
@@ -265,7 +274,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     uint64_t token = model_->Fingerprint();
     token ^= candidates.universe_fingerprint() * 0x9e3779b97f4a7c15ULL;
     if (token == 0) token = 1;  // 0 is CostCache's never-validated state.
-    cache->EnsureValid(token, tracker);
+    cache->EnsureValid(token, tracker, cache_tally);
   }
   CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.start",
            LogField("segments", n), LogField("configs", m),
@@ -279,7 +288,8 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     const double cost =
         cache != nullptr
             ? CachedSegmentCost(segment, candidates[config],
-                                candidates.mask(config), cache, tracker)
+                                candidates.mask(config), cache, tracker,
+                                cache_tally)
             : SegmentCost(segment, candidates[config]);
     if (!std::isfinite(cost)) bad_exec.Record(i);
     matrix.MutableExec(segment, config) = cost;

@@ -244,13 +244,15 @@ class WhatIfEngine {
   /// keying unsound). `tracker` (optional) charges cache growth to
   /// MemComponent::kCostCache; a refused reservation skips the insert
   /// and trips the solve's memory limit (see cost/cost_cache.h).
+  /// `cache_tally` (optional) receives this fill's cache hits, misses
+  /// and evictions, exact even while other fills share the cache.
   /// Cached and uncached fills produce bit-identical matrices.
   Result<CostMatrix> PrecomputeCostMatrix(
       const CandidateSpace& candidates, ThreadPool* pool = nullptr,
       Tracer* tracer = nullptr, const Budget* budget = nullptr,
       const ProgressFn* progress = nullptr, Logger* logger = nullptr,
-      CostCache* cost_cache = nullptr,
-      ResourceTracker* tracker = nullptr) const;
+      CostCache* cost_cache = nullptr, ResourceTracker* tracker = nullptr,
+      CostCacheTally* cache_tally = nullptr) const;
 
   /// Mirrors the engine's activity into `registry` — counters
   /// "whatif.costings" / "whatif.cache_hits" and the
@@ -313,10 +315,12 @@ class WhatIfEngine {
   /// per profile entry, look up (entry.fingerprint, config_mask), cost
   /// and insert on miss. Summation runs in profile order — the same
   /// order as ComputeSegmentCost — so the result is bit-identical to
-  /// the uncached path.
+  /// the uncached path. The cell's hits and misses are added to
+  /// `tally` (optional) in one step each.
   double CachedSegmentCost(size_t segment, const Configuration& config,
                            uint64_t config_mask, CostCache* cache,
-                           ResourceTracker* tracker) const;
+                           ResourceTracker* tracker,
+                           CostCacheTally* tally) const;
 
   const CostModel* model_;
   std::vector<Segment> segments_;

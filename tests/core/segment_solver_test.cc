@@ -18,24 +18,16 @@ TEST(SegmentSolveOptionsTest, Validate) {
   EXPECT_TRUE(options.Validate().ok());
   options.num_chunks = -1;
   EXPECT_FALSE(options.Validate().ok());
-  options.num_chunks = 0;
-  options.min_chunk_stages = 0;
-  EXPECT_FALSE(options.Validate().ok());
 }
 
 TEST(SegmentSolveOptionsTest, ResolveNumChunks) {
-  SegmentSolveOptions options;  // Auto, min_chunk_stages = 128.
-  // Too short to amortize chunking.
-  EXPECT_EQ(ResolveNumChunks(options, 0), 1u);
-  EXPECT_EQ(ResolveNumChunks(options, 100), 1u);
-  EXPECT_EQ(ResolveNumChunks(options, 255), 1u);
-  // Long enough: one chunk per ~min_chunk_stages stages.
-  EXPECT_EQ(ResolveNumChunks(options, 256), 2u);
-  EXPECT_EQ(ResolveNumChunks(options, 1280), 10u);
-  // Capped.
-  EXPECT_EQ(ResolveNumChunks(options, 1'000'000),
-            SegmentSolveOptions::kMaxAutoChunks);
-  // Monolithic off-switch.
+  SegmentSolveOptions options;  // Auto.
+  // Auto is monolithic at every length: segmenting is opt-in.
+  for (size_t stages : {size_t{0}, size_t{100}, size_t{256}, size_t{1280},
+                        size_t{1'000'000}}) {
+    EXPECT_EQ(ResolveNumChunks(options, stages), 1u) << stages;
+  }
+  // Explicit monolithic.
   options.num_chunks = 1;
   EXPECT_EQ(ResolveNumChunks(options, 1'000'000), 1u);
   // Forced counts clamp to the stage count.
@@ -170,6 +162,42 @@ TEST(SegmentSolverTest, SolveDispatchesSegmentedPath) {
               1e-9 * mono->schedule.total_cost);
   EXPECT_EQ(seg->stats.segment_chunks, 6);
   EXPECT_NE(seg->method_detail.find("segment-parallel"), std::string::npos);
+}
+
+TEST(SegmentSolverTest, DefaultSolveOfLongWindowIsMonolithic) {
+  // Property over random long windows (>= 256 stages, where the old
+  // auto mode chunked): the default Solve() runs the plain DP and
+  // returns the explicit num_chunks = 1 schedule bit for bit, at one
+  // thread and on a pool, with and without pruning.
+  for (uint64_t seed : {29u, 31u, 37u}) {
+    auto fixture =
+        MakeRandomProblem(seed, /*num_segments=*/300, /*block_size=*/4,
+                          /*max_indexes_per_config=*/2);
+    for (bool prune : {false, true}) {
+      SolveOptions mono_options;
+      mono_options.k = 3;
+      mono_options.num_threads = 1;
+      mono_options.prune_dominated = prune;
+      mono_options.segmented.num_chunks = 1;
+      auto mono = Solve(fixture->problem, mono_options);
+      ASSERT_TRUE(mono.ok()) << mono.status().ToString();
+      for (int threads : {1, 4}) {
+        SolveOptions auto_options;
+        auto_options.k = 3;
+        auto_options.num_threads = threads;
+        auto_options.prune_dominated = prune;
+        auto automatic = Solve(fixture->problem, auto_options);
+        ASSERT_TRUE(automatic.ok()) << automatic.status().ToString();
+        EXPECT_EQ(automatic->stats.segment_chunks, 0)
+            << "seed " << seed << ", " << threads << " threads";
+        EXPECT_EQ(automatic->method_detail, "k-aware sequence graph");
+        EXPECT_EQ(automatic->schedule.configs, mono->schedule.configs)
+            << "seed " << seed << ", " << threads << " threads";
+        EXPECT_EQ(automatic->schedule.total_cost, mono->schedule.total_cost);
+        EXPECT_EQ(automatic->stats.relaxations, mono->stats.relaxations);
+      }
+    }
+  }
 }
 
 }  // namespace

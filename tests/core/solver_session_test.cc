@@ -1,5 +1,8 @@
 #include "core/solver_session.h"
 
+#include <cstdlib>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
@@ -62,6 +65,32 @@ TEST(SolverSessionTest, WarmCacheAndAccumulatedStatsAcrossSolves) {
   const SolveStats total = session.total_stats();
   EXPECT_EQ(total.costings, cold->stats.costings + warm->stats.costings);
   EXPECT_GE(total.cost_cache_hits, warm->stats.cost_cache_hits);
+}
+
+TEST(SolverSessionTest, SerialSessionOwnsTheOnlyThread) {
+  // A serial session builds no pool, and a call that leaves
+  // num_threads = 0 must not fall through to a default-size pool:
+  // threads_used stays 1 whatever CDPD_THREADS requests.
+  auto fixture = MakeRandomProblem(41, /*num_segments=*/6, /*block_size=*/10);
+  const char* saved = std::getenv("CDPD_THREADS");
+  const std::string previous = saved != nullptr ? saved : "";
+  for (const char* env : {"1", "4", "16"}) {
+    ASSERT_EQ(setenv("CDPD_THREADS", env, /*overwrite=*/1), 0);
+    SessionOptions session_options;
+    session_options.num_threads = 1;
+    SolverSession session(session_options);
+    EXPECT_EQ(session.pool(), nullptr);
+    SolveOptions options;  // num_threads = 0: defer to the session.
+    options.k = 2;
+    auto solved = session.Solve(fixture->problem, options);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    EXPECT_EQ(solved->stats.threads_used, 1) << "CDPD_THREADS=" << env;
+  }
+  if (saved != nullptr) {
+    ASSERT_EQ(setenv("CDPD_THREADS", previous.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("CDPD_THREADS"), 0);
+  }
 }
 
 TEST(SolverSessionTest, CacheCanBeDisabled) {

@@ -54,6 +54,60 @@ TEST(CostCacheTest, LookupInsertAndCounters) {
   EXPECT_EQ(cache.entries(), 2);
 }
 
+TEST(CostCacheTest, GetOrComputePricesEachKeyOnceUnderContention) {
+  // Concurrent probes of the same keys: each key is priced exactly
+  // once (the first probe misses, the rest wait and hit), so a
+  // caller's miss count never exceeds the distinct keys it probed.
+  CostCache cache;
+  cache.EnsureValid(1);
+  constexpr int kThreads = 8;
+  constexpr uint64_t kKeys = 64;
+  std::atomic<int64_t> computed{0};
+  CostCacheTally tally;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t key = 0; key < kKeys; ++key) {
+        double cost = 0.0;
+        const bool hit = cache.GetOrCompute(
+            key, key + 1,
+            [&] {
+              computed.fetch_add(1);
+              return static_cast<double>(key) * 0.5;
+            },
+            &cost, /*tracker=*/nullptr, &tally);
+        (hit ? tally.hits : tally.misses).fetch_add(1);
+        EXPECT_EQ(cost, static_cast<double>(key) * 0.5);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(computed.load(), static_cast<int64_t>(kKeys));
+  EXPECT_EQ(tally.misses.load(), static_cast<int64_t>(kKeys));
+  EXPECT_EQ(tally.hits.load(), static_cast<int64_t>((kThreads - 1) * kKeys));
+  EXPECT_EQ(cache.misses(), static_cast<int64_t>(kKeys));
+  EXPECT_EQ(cache.entries(), static_cast<int64_t>(kKeys));
+}
+
+TEST(CostCacheTest, TallyCountsTheEvictionsItsCallerCaused) {
+  CostCache cache(4 * CostCache::kEntryBytes);
+  cache.EnsureValid(1);
+  CostCacheTally filler;
+  for (uint64_t i = 0; i < 64; ++i) {
+    cache.Insert(i * 2654435761u + 1, i + 1, 1.0, nullptr, &filler);
+  }
+  EXPECT_EQ(filler.evictions.load(), cache.evictions());
+  // A token change charges the dropped entries to the validating
+  // caller only.
+  const int64_t before = cache.evictions();
+  const int64_t resident = cache.entries();
+  CostCacheTally validator;
+  EXPECT_TRUE(cache.EnsureValid(2, nullptr, &validator));
+  EXPECT_EQ(validator.evictions.load(), resident);
+  EXPECT_EQ(cache.evictions() - before, resident);
+  EXPECT_EQ(filler.evictions.load(), before);
+}
+
 TEST(CostCacheTest, EnsureValidClearsOnTokenChangeOnly) {
   CostCache cache;
   EXPECT_TRUE(cache.EnsureValid(7));  // First validation.
