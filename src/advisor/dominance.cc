@@ -22,7 +22,8 @@ DominanceResult Identity(size_t m) {
 DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
                                       ThreadPool* pool, const Budget* budget,
                                       Logger* logger,
-                                      ResourceTracker* tracker) {
+                                      ResourceTracker* tracker,
+                                      ProbeTally* tally) {
   const CandidateSpace& space = problem.candidates;
   const size_t m = space.size();
   if (m <= 1 || problem.what_if == nullptr) return Identity(m);
@@ -53,7 +54,7 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
       [&](size_t c) {
         const Configuration& config = space[c];
         for (size_t s = 0; s < num_shapes; ++s) {
-          shape_cost[s * m + c] = what_if.ShapeCost(shapes[s], config);
+          shape_cost[s * m + c] = what_if.ShapeCost(shapes[s], config, tally);
         }
         for (size_t to = 0; to < m; ++to) {
           trans[c * m + to] =

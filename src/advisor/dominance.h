@@ -75,12 +75,14 @@ struct DominanceResult {
 /// is still exact. Scratch tables (|shapes| x m shape costs, m x m
 /// TRANS) are charged to MemComponent::kCandidates via `tracker`; a
 /// refused reservation skips pruning entirely (identity result) rather
-/// than failing the solve.
+/// than failing the solve. `tally` (optional) is charged the shape
+/// costings the pass runs.
 DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
                                       ThreadPool* pool = nullptr,
                                       const Budget* budget = nullptr,
                                       Logger* logger = nullptr,
-                                      ResourceTracker* tracker = nullptr);
+                                      ResourceTracker* tracker = nullptr,
+                                      ProbeTally* tally = nullptr);
 
 }  // namespace cdpd
 

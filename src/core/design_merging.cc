@@ -51,15 +51,8 @@ double ExitCost(const DesignProblem& problem, const Configuration& last) {
 Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
                                          const DesignSchedule& initial_schedule,
                                          int64_t k, SolveStats* stats,
-                                         ThreadPool* pool, Tracer* tracer,
-                                         const Budget* budget,
-                                         const ProgressFn* progress,
-                                         Logger* logger,
-                                         ResourceTracker* tracker) {
+                                         const SolveContext& ctx) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
-  if (k < 0) {
-    return Status::InvalidArgument("change bound k must be >= 0");
-  }
   if (initial_schedule.configs.size() != problem.num_segments()) {
     return Status::InvalidArgument(
         "initial schedule has " +
@@ -68,13 +61,12 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
   }
 
   SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  local_stats.threads_used = ctx.threads();
   const Stopwatch watch;
   const WhatIfEngine& what_if = *problem.what_if;
-  const int64_t costings_before = what_if.costings();
   std::vector<Run> runs = BuildRuns(initial_schedule.configs);
   const int64_t initial_changes = RunChanges(problem, runs);
-  CDPD_LOG(logger, LogLevel::kInfo, "merging.start",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "merging.start",
            LogField("initial_changes", initial_changes), LogField("k", k),
            LogField("candidates", problem.candidates.size()));
 
@@ -84,10 +76,11 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
   // instead. Shared by both exits.
   const auto static_fallback =
       [&](int64_t changes, const char* cause) -> Result<DesignSchedule> {
-    CDPD_LOG(logger, LogLevel::kWarn, "merging.fallback",
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "merging.fallback",
              LogField("changes", changes), LogField("k", k),
              LogField("cause", cause));
-    Result<DesignSchedule> fallback = BestStaticSchedule(problem, k);
+    Result<DesignSchedule> fallback =
+        BestStaticSchedule(problem, k, ctx.tally);
     if (!fallback.ok()) {
       return Status::DeadlineExceeded(
           "budget expired with " + std::to_string(changes) +
@@ -97,7 +90,6 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return std::move(fallback).value();
   };
@@ -106,15 +98,15 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     const int64_t changes = RunChanges(problem, runs);
     // Fraction of the excess changes merged away so far.
     if (initial_changes > k) {
-      ReportProgress(progress, "merging",
+      ReportProgress(ctx.progress, "merging",
                      static_cast<double>(initial_changes - changes) /
                          static_cast<double>(initial_changes - k));
     }
     if (changes <= k) break;
-    if (BudgetExpired(budget)) {
+    if (BudgetExpired(ctx.budget)) {
       return static_fallback(changes, "deadline");
     }
-    CDPD_TRACE_SPAN(tracer, "merging.step", "solver", changes);
+    CDPD_TRACE_SPAN(ctx.tracer, "merging.step", "solver", changes);
     if (runs.size() == 1) {
       // Only possible when the initial change counts and k == 0: the
       // single remaining run must be C0 itself.
@@ -142,30 +134,31 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     // refusal degrades now rather than waiting for the next budget
     // poll — the tables are exactly what there is no budget for.
     const ScopedReservation round_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kMergingTable,
+        ctx.tracker, MemComponent::kMergingTable,
         static_cast<int64_t>((num_pairs + num_pairs * num_cands) *
                              sizeof(double)));
     if (!round_reservation.ok()) {
       return static_fallback(changes, "memory-limit");
     }
     std::vector<double> old_costs(num_pairs);
-    ParallelFor(pool, 0, num_pairs, [&](size_t i) {
+    ParallelFor(ctx.pool, 0, num_pairs, [&](size_t i) {
       const Run& left = runs[i];
       const Run& right = runs[i + 1];
       const Configuration& prev =
           i == 0 ? problem.initial : runs[i - 1].config;
       const bool has_next = i + 2 < runs.size();
-      double old_cost = what_if.TransitionCost(prev, left.config) +
-                        what_if.RangeCost(left.begin, left.end, left.config) +
-                        what_if.TransitionCost(left.config, right.config) +
-                        what_if.RangeCost(right.begin, right.end, right.config);
+      double old_cost =
+          what_if.TransitionCost(prev, left.config) +
+          what_if.RangeCost(left.begin, left.end, left.config, ctx.tally) +
+          what_if.TransitionCost(left.config, right.config) +
+          what_if.RangeCost(right.begin, right.end, right.config, ctx.tally);
       old_cost += has_next
                       ? what_if.TransitionCost(right.config, runs[i + 2].config)
                       : ExitCost(problem, right.config);
       old_costs[i] = old_cost;
     });
     std::vector<double> penalties(num_pairs * num_cands);
-    ParallelFor(pool, 0, num_pairs * num_cands, [&](size_t cell) {
+    ParallelFor(ctx.pool, 0, num_pairs * num_cands, [&](size_t cell) {
       const size_t i = cell / num_cands;
       const Run& left = runs[i];
       const Run& right = runs[i + 1];
@@ -175,7 +168,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       const Configuration& replacement = problem.candidates[cell % num_cands];
       double new_cost =
           what_if.TransitionCost(prev, replacement) +
-          what_if.RangeCost(left.begin, right.end, replacement);
+          what_if.RangeCost(left.begin, right.end, replacement, ctx.tally);
       new_cost += has_next
                       ? what_if.TransitionCost(replacement, runs[i + 2].config)
                       : ExitCost(problem, replacement);
@@ -220,14 +213,14 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       schedule.configs[i] = run.config;
     }
   }
-  schedule.total_cost = EvaluateScheduleCost(problem, schedule.configs);
-  CDPD_LOG(logger, LogLevel::kInfo, "merging.end",
+  schedule.total_cost =
+      EvaluateScheduleCost(problem, schedule.configs, ctx.tally);
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "merging.end",
            LogField("cost", schedule.total_cost),
            LogField("merge_steps", local_stats.merge_steps),
            LogField("candidate_evaluations",
                     local_stats.candidate_evaluations));
   local_stats.wall_seconds = watch.ElapsedSeconds();
-  local_stats.costings = what_if.costings() - costings_before;
   if (stats != nullptr) *stats = local_stats;
   return schedule;
 }

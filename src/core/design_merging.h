@@ -3,13 +3,9 @@
 
 #include <cstdint>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
 
 namespace cdpd {
@@ -29,46 +25,34 @@ namespace cdpd {
 /// guaranteed optimal, even when the input schedule is the
 /// unconstrained optimum.
 ///
+/// Internal: Solve() runs it on the unconstrained optimum (method
+/// kMerging, and the hybrid's merging branch); `ctx` carries the
+/// per-call state (core/solve_context.h). `initial_schedule.configs`
+/// must have one entry per problem segment (checked here), and k >= 0
+/// (SolveOptions::Validate checks).
+///
 /// Each step's (pair, replacement) penalty sweep is evaluated in
-/// parallel across `pool` when one is given; the winning replacement
-/// is selected by a serial scan in the serial iteration order, so the
-/// result is identical for any thread count.
+/// parallel across ctx.pool; the winning replacement is selected by a
+/// serial scan in the serial iteration order, so the result is
+/// identical for any thread count. With a tracer each merging step
+/// records a "merging.step" span (arg = remaining change count before
+/// the step); progress reports the share of excess changes merged away
+/// so far.
 ///
-/// `initial_schedule.configs` must have one entry per problem segment.
-/// With a `tracer` each merging step records a "merging.step" span
-/// (arg = remaining change count before the step).
-///
-/// `budget` (optional) bounds the refinement; expiry is polled between
-/// merging rounds (a started round always completes). A mid-refinement
-/// schedule still violates k — the partial refinement is NOT a
-/// feasible answer — so on expiry the solve degrades to the cheapest
-/// feasible static schedule with stats->deadline_hit and
-/// stats->best_effort set, and returns DeadlineExceeded only when not
-/// even a static design satisfies the bound. A budget that never
-/// expires changes nothing: the schedule is byte-identical to an
-/// un-budgeted run.
-///
-/// `progress` receives "merging" updates between rounds, the fraction
-/// being the share of excess changes merged away so far (thread-safe
-/// callback required; see common/progress.h); `logger` records
-/// start/end, per-round, and fallback events. Both optional, both
-/// observational only.
-///
-/// `tracker` (optional) accounts each round's penalty tables
-/// (kMergingTable), released when the round ends. A round whose tables
-/// the tracker's soft limit refuses degrades immediately to the static
-/// fallback (the partial refinement still violates k, so it is not a
-/// feasible answer to return).
+/// Anytime semantics: budget expiry is polled between merging rounds
+/// (a started round always completes). A mid-refinement schedule still
+/// violates k — the partial refinement is NOT a feasible answer — so
+/// on expiry the solve degrades to the cheapest feasible static
+/// schedule with stats->deadline_hit and stats->best_effort set, and
+/// returns DeadlineExceeded only when not even a static design
+/// satisfies the bound. The tracker is charged each round's penalty
+/// tables (kMergingTable), released when the round ends; a round whose
+/// tables the soft limit refuses degrades immediately to the same
+/// static fallback.
 Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
                                          const DesignSchedule& initial_schedule,
-                                         int64_t k,
-                                         SolveStats* stats = nullptr,
-                                         ThreadPool* pool = nullptr,
-                                         Tracer* tracer = nullptr,
-                                         const Budget* budget = nullptr,
-                                         const ProgressFn* progress = nullptr,
-                                         Logger* logger = nullptr,
-                                         ResourceTracker* tracker = nullptr);
+                                         int64_t k, SolveStats* stats,
+                                         const SolveContext& ctx);
 
 }  // namespace cdpd
 

@@ -45,7 +45,8 @@ int64_t CountChanges(const DesignProblem& problem,
 }
 
 Result<DesignSchedule> BestStaticSchedule(const DesignProblem& problem,
-                                          std::optional<int64_t> k) {
+                                          std::optional<int64_t> k,
+                                          ProbeTally* tally) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   const WhatIfEngine& what_if = *problem.what_if;
   const size_t n = problem.num_segments();
@@ -58,7 +59,7 @@ Result<DesignSchedule> BestStaticSchedule(const DesignProblem& problem,
         problem.count_initial_change && !(config == problem.initial) ? 1 : 0;
     if (k.has_value() && changes > *k) continue;
     double cost = what_if.TransitionCost(problem.initial, config) +
-                  what_if.RangeCost(0, n, config);
+                  what_if.RangeCost(0, n, config, tally);
     if (problem.final_config.has_value()) {
       cost += what_if.TransitionCost(config, *problem.final_config);
     }
@@ -75,18 +76,19 @@ Result<DesignSchedule> BestStaticSchedule(const DesignProblem& problem,
   }
   DesignSchedule schedule;
   schedule.configs.assign(n, *best_config);
-  schedule.total_cost = EvaluateScheduleCost(problem, schedule.configs);
+  schedule.total_cost = EvaluateScheduleCost(problem, schedule.configs, tally);
   return schedule;
 }
 
 double EvaluateScheduleCost(const DesignProblem& problem,
-                            const std::vector<Configuration>& configs) {
+                            const std::vector<Configuration>& configs,
+                            ProbeTally* tally) {
   const WhatIfEngine& what_if = *problem.what_if;
   double cost = 0.0;
   const Configuration* previous = &problem.initial;
   for (size_t i = 0; i < configs.size(); ++i) {
     cost += what_if.TransitionCost(*previous, configs[i]);
-    cost += what_if.SegmentCost(i, configs[i]);
+    cost += what_if.SegmentCost(i, configs[i], tally);
     previous = &configs[i];
   }
   if (problem.final_config.has_value()) {

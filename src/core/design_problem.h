@@ -77,15 +77,19 @@ int64_t CountChanges(const DesignProblem& problem,
 /// over candidates is deterministic (first minimum wins).
 /// FailedPrecondition when no candidate satisfies the bound (only
 /// possible for k = 0 with count_initial_change and C0 absent from
-/// the candidate set).
+/// the candidate set). `tally` (optional) is charged the what-if
+/// costings the scan runs.
 Result<DesignSchedule> BestStaticSchedule(const DesignProblem& problem,
-                                          std::optional<int64_t> k);
+                                          std::optional<int64_t> k,
+                                          ProbeTally* tally = nullptr);
 
 /// Recomputes the sequence execution cost of `configs` from the
 /// oracle. Every optimizer's reported total_cost must agree with this
-/// (the tests enforce it).
+/// (the tests enforce it). `tally` (optional) is charged the what-if
+/// costings the evaluation runs (memo hits add nothing).
 double EvaluateScheduleCost(const DesignProblem& problem,
-                            const std::vector<Configuration>& configs);
+                            const std::vector<Configuration>& configs,
+                            ProbeTally* tally = nullptr);
 
 }  // namespace cdpd
 

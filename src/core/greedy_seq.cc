@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/stopwatch.h"
+#include "core/k_aware_graph.h"
 #include "core/unconstrained_optimizer.h"
 
 namespace cdpd {
@@ -11,27 +12,19 @@ namespace cdpd {
 Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                                        std::optional<int64_t> k,
                                        const GreedySeqOptions& options,
-                                       ThreadPool* pool, Tracer* tracer,
-                                       const Budget* budget,
-                                       const ProgressFn* progress,
-                                       Logger* logger,
-                                       ResourceTracker* tracker,
-                                       CostCache* cost_cache,
-                                       CostCacheTally* cache_tally) {
+                                       SolveStats* stats,
+                                       const SolveContext& ctx) {
   if (problem.what_if == nullptr) {
     return Status::InvalidArgument("design problem has no what-if oracle");
   }
-  if (options.candidate_indexes.empty()) {
-    return Status::InvalidArgument("GREEDY-SEQ needs candidate indexes");
-  }
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
   const int64_t rows = what_if.model().num_rows();
   const size_t num_indexes = options.candidate_indexes.size();
 
   GreedySeqResult result;
-  result.stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  SolveStats local_stats;
+  local_stats.threads_used = ctx.threads();
 
   // Per-segment greedy construction; every intermediate configuration
   // becomes a candidate, giving O(m) candidates per segment. Each
@@ -62,7 +55,7 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
         tracker->Release(MemComponent::kCandidates, bytes);
       }
     }
-  } candidate_charge{tracker};
+  } candidate_charge{ctx.tracker};
 
   std::vector<Configuration> reduced;
   reduced.push_back(Configuration::Empty());
@@ -75,34 +68,34 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
   // ParallelFor runs to completion so grown_costs never mixes stale
   // cells, and the reduced set stays a deterministic prefix of the
   // un-budgeted construction.
-  CDPD_LOG(logger, LogLevel::kInfo, "greedyseq.start",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "greedyseq.start",
            LogField("segments", problem.num_segments()),
            LogField("candidate_indexes", num_indexes));
   bool grow_expired = false;
   for (size_t segment = 0;
        segment < problem.num_segments() && !grow_expired; ++segment) {
-    ReportProgress(progress, "greedyseq.grow",
+    ReportProgress(ctx.progress, "greedyseq.grow",
                    static_cast<double>(segment) /
                        static_cast<double>(problem.num_segments()));
-    CDPD_TRACE_SPAN(tracer, "greedyseq.grow", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "greedyseq.grow", "solver",
                     static_cast<int64_t>(segment));
     Configuration current;
-    double current_cost = what_if.SegmentCost(segment, current);
+    double current_cost = what_if.SegmentCost(segment, current, ctx.tally);
     for (;;) {
-      if (BudgetExpired(budget)) {
+      if (BudgetExpired(ctx.budget)) {
         grow_expired = true;
         break;
       }
-      ParallelFor(pool, 0, num_indexes, [&](size_t i) {
+      ParallelFor(ctx.pool, 0, num_indexes, [&](size_t i) {
         const IndexDef& index = options.candidate_indexes[i];
         grown_costs[i] = kInf;
         if (current.Contains(index)) return;
         const Configuration grown = current.With(index);
         if (grown.num_indexes() > options.max_indexes_per_config) return;
         if (grown.SizePages(rows) > problem.space_bound_pages) return;
-        grown_costs[i] = what_if.SegmentCost(segment, grown);
+        grown_costs[i] = what_if.SegmentCost(segment, grown, ctx.tally);
       });
-      result.stats.candidate_evaluations +=
+      local_stats.candidate_evaluations +=
           static_cast<int64_t>(num_indexes);
       double best_cost = current_cost;
       const IndexDef* best_index = nullptr;
@@ -128,7 +121,7 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
   result.reduced_candidates = std::move(reduced);
   SolveStats graph_stats;
   {
-    CDPD_TRACE_SPAN(tracer, "greedyseq.graph", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "greedyseq.graph", "solver",
                     static_cast<int64_t>(reduced_problem.candidates.size()));
     // When the growth was cut short the partial reduced set is the
     // best candidate set solved so far — run the graph search on it
@@ -136,36 +129,29 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
     // always contains the empty and initial configurations). When the
     // growth completed, pass the budget through and inherit the graph
     // search's own anytime semantics.
-    const Budget* graph_budget = grow_expired ? nullptr : budget;
+    SolveContext graph_ctx = ctx;
     if (grow_expired) {
-      CDPD_LOG(logger, LogLevel::kWarn, "greedyseq.grow_deadline",
+      graph_ctx.budget = nullptr;
+      CDPD_LOG(ctx.logger, LogLevel::kWarn, "greedyseq.grow_deadline",
                LogField("reduced_candidates",
                         reduced_problem.candidates.size()));
     } else {
-      CDPD_LOG(logger, LogLevel::kInfo, "greedyseq.grown",
+      CDPD_LOG(ctx.logger, LogLevel::kInfo, "greedyseq.grown",
                LogField("reduced_candidates",
                         reduced_problem.candidates.size()));
     }
-    if (!k.has_value()) {
-      CDPD_ASSIGN_OR_RETURN(
-          result.schedule,
-          SolveUnconstrained(reduced_problem, &graph_stats, pool, tracer,
-                             graph_budget, progress, logger, tracker,
-                             cost_cache, cache_tally));
-    } else {
-      CDPD_ASSIGN_OR_RETURN(
-          result.schedule,
-          SolveKAware(reduced_problem, *k, &graph_stats, pool, tracer,
-                      graph_budget, progress, logger, tracker, cost_cache,
-                      cache_tally));
-    }
+    CDPD_ASSIGN_OR_RETURN(
+        result.schedule,
+        k.has_value()
+            ? SolveKAware(reduced_problem, *k, &graph_stats, graph_ctx)
+            : SolveUnconstrained(reduced_problem, &graph_stats, graph_ctx));
   }
-  result.stats.nodes_expanded = graph_stats.nodes_expanded;
-  result.stats.relaxations = graph_stats.relaxations;
-  result.stats.deadline_hit = grow_expired || graph_stats.deadline_hit;
-  result.stats.best_effort = grow_expired || graph_stats.best_effort;
-  result.stats.wall_seconds = watch.ElapsedSeconds();
-  result.stats.costings = what_if.costings() - costings_before;
+  local_stats.nodes_expanded = graph_stats.nodes_expanded;
+  local_stats.relaxations = graph_stats.relaxations;
+  local_stats.deadline_hit = grow_expired || graph_stats.deadline_hit;
+  local_stats.best_effort = grow_expired || graph_stats.best_effort;
+  local_stats.wall_seconds = watch.ElapsedSeconds();
+  if (stats != nullptr) *stats = local_stats;
   return result;
 }
 

@@ -5,16 +5,10 @@
 #include <optional>
 #include <vector>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
-#include "core/k_aware_graph.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -33,9 +27,6 @@ struct GreedySeqResult {
   /// The reduced configuration set the shortest-path search ran on —
   /// O(m n) configurations instead of 2^m.
   std::vector<Configuration> reduced_candidates;
-  /// Unified counters of the whole solve (greedy growth + graph
-  /// search).
-  SolveStats stats;
 };
 
 /// GREEDY-SEQ adapted to the constrained problem (§4.1): instead of
@@ -48,46 +39,36 @@ struct GreedySeqResult {
 /// reduced set; pass nullopt k for the unconstrained variant (Agrawal
 /// et al.'s original GREEDY-SEQ).
 ///
+/// Internal: reached through Solve() (method kGreedySeq, which
+/// validates that candidate indexes are given); `ctx` carries the
+/// per-call state (core/solve_context.h). `stats` receives the counters
+/// of the whole solve (greedy growth + graph search).
+///
 /// Each greedy growth step prices all candidate indexes in parallel
-/// across `pool` (the argmin is a serial scan in index order, so the
+/// across ctx.pool (the argmin is a serial scan in index order, so the
 /// reduced set is identical for any thread count), and the graph
-/// search inherits the pool. With a `tracer` the solve records a
+/// search inherits the pool. With a tracer the solve records a
 /// "greedyseq.grow" span per segment and a "greedyseq.graph" span
 /// around the reduced-set graph search.
 ///
-/// `budget` (optional) bounds the solve; expiry is polled between
-/// greedy growth steps and segments (a growth step always completes,
-/// so the reduced set is a deterministic prefix of the un-budgeted
-/// one). When the growth is cut short, the graph search still runs —
-/// un-budgeted, over the partial reduced set, which always contains
-/// the empty and initial configurations, so a feasible schedule is
-/// guaranteed — and the result carries stats.deadline_hit and
-/// stats.best_effort. When the growth completes, the graph search runs
-/// under the remaining budget and inherits the k-aware/unconstrained
-/// anytime semantics. A budget that never expires changes nothing: the
-/// result is byte-identical to an un-budgeted run.
-///
-/// `progress` receives "greedyseq.grow" updates per grown segment and
-/// the inherited graph-search phases (thread-safe callback required;
-/// see common/progress.h); `logger` records start/end and the reduced
-/// candidate-set size. Both optional, both observational only.
-///
-/// `tracker` (optional) meters the growing reduced candidate set
-/// (kCandidates) as it is built — a tracker limit tripped mid-growth
-/// stops the growth at the next poll via the attached Budget, exactly
-/// like a deadline — and flows into the graph search, which charges
-/// its own tables (kCostMatrix, kKAwareTable / kSequenceGraph).
+/// Anytime semantics: budget expiry is polled between greedy growth
+/// steps and segments (a growth step always completes, so the reduced
+/// set is a deterministic prefix of the un-budgeted one). When the
+/// growth is cut short, the graph search still runs — un-budgeted,
+/// over the partial reduced set, which always contains the empty and
+/// initial configurations, so a feasible schedule is guaranteed — and
+/// the result carries stats.deadline_hit and stats.best_effort. When
+/// the growth completes, the graph search runs under the remaining
+/// budget and inherits the k-aware/unconstrained anytime semantics.
+/// The tracker meters the growing reduced candidate set (kCandidates)
+/// as it is built — a limit tripped mid-growth stops the growth at the
+/// next poll, exactly like a deadline — and the graph search charges
+/// its own tables.
 Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                                        std::optional<int64_t> k,
                                        const GreedySeqOptions& options,
-                                       ThreadPool* pool = nullptr,
-                                       Tracer* tracer = nullptr,
-                                       const Budget* budget = nullptr,
-                                       const ProgressFn* progress = nullptr,
-                                       Logger* logger = nullptr,
-                                       ResourceTracker* tracker = nullptr,
-                                       CostCache* cost_cache = nullptr,
-                                       CostCacheTally* cache_tally = nullptr);
+                                       SolveStats* stats,
+                                       const SolveContext& ctx);
 
 }  // namespace cdpd
 

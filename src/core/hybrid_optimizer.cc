@@ -19,33 +19,25 @@ std::string_view HybridChoiceToString(HybridChoice choice) {
 }
 
 Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
-                                 ThreadPool* pool, Tracer* tracer,
-                                 const Budget* budget,
-                                 const ProgressFn* progress, Logger* logger,
-                                 ResourceTracker* tracker,
-                                 CostCache* cost_cache,
-                                 CostCacheTally* cache_tally) {
-  if (k < 0) {
-    return Status::InvalidArgument("change bound k must be >= 0");
-  }
+                                 SolveStats* stats, const SolveContext& ctx) {
   HybridResult result;
+  SolveStats local_stats;
   DesignSchedule unconstrained;
   {
-    CDPD_TRACE_SPAN(tracer, "hybrid.probe", "solver");
-    CDPD_ASSIGN_OR_RETURN(
-        unconstrained,
-        SolveUnconstrained(problem, &result.stats, pool, tracer, budget,
-                           progress, logger, tracker, cost_cache, cache_tally));
+    CDPD_TRACE_SPAN(ctx.tracer, "hybrid.probe", "solver");
+    CDPD_ASSIGN_OR_RETURN(unconstrained,
+                          SolveUnconstrained(problem, &local_stats, ctx));
   }
   const int64_t l = CountChanges(problem, unconstrained.configs);
   result.unconstrained_changes = l;
   result.unconstrained_cost = unconstrained.total_cost;
   if (l <= k) {
-    CDPD_LOG(logger, LogLevel::kInfo, "hybrid.choice",
+    CDPD_LOG(ctx.logger, LogLevel::kInfo, "hybrid.choice",
              LogField("choice", "unconstrained"),
              LogField("unconstrained_changes", l), LogField("k", k));
     result.schedule = std::move(unconstrained);
     result.choice = HybridChoice::kUnconstrainedSufficed;
+    if (stats != nullptr) *stats = local_stats;
     return result;
   }
 
@@ -60,8 +52,8 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
   // fallback answers immediately, whereas the k-aware DP would pay a
   // precompute only to return DeadlineExceeded.
   const bool prefer_kaware =
-      graph_work <= merging_work && !BudgetExpired(budget);
-  CDPD_LOG(logger, LogLevel::kInfo, "hybrid.choice",
+      graph_work <= merging_work && !BudgetExpired(ctx.budget);
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "hybrid.choice",
            LogField("choice", prefer_kaware ? "k-aware-graph" : "merging"),
            LogField("unconstrained_changes", l), LogField("k", k),
            LogField("graph_work", graph_work),
@@ -70,46 +62,26 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
   // Whichever branch is chosen, a failure there must not hide an
   // answer the other branch can give — retry the other one and only
   // surface the original error when both come up empty.
-  SolveStats phase_stats;
   Status first_error = Status::OK();
-  if (prefer_kaware) {
-    CDPD_TRACE_SPAN(tracer, "hybrid.kaware", "solver", k);
-    Result<DesignSchedule> kaware = SolveKAware(
-        problem, k, &phase_stats, pool, tracer, budget, progress, logger,
-        tracker, cost_cache, cache_tally);
-    if (kaware.ok()) {
-      result.schedule = std::move(kaware).value();
-      result.choice = HybridChoice::kKAwareGraph;
-      result.stats.Accumulate(phase_stats);
+  for (const bool kaware : {prefer_kaware, !prefer_kaware}) {
+    SolveStats phase_stats;
+    Result<DesignSchedule> attempt = [&]() -> Result<DesignSchedule> {
+      if (kaware) {
+        CDPD_TRACE_SPAN(ctx.tracer, "hybrid.kaware", "solver", k);
+        return SolveKAware(problem, k, &phase_stats, ctx);
+      }
+      CDPD_TRACE_SPAN(ctx.tracer, "hybrid.merge", "solver", l - k);
+      return MergeToConstraint(problem, unconstrained, k, &phase_stats, ctx);
+    }();
+    if (attempt.ok()) {
+      result.schedule = std::move(attempt).value();
+      result.choice =
+          kaware ? HybridChoice::kKAwareGraph : HybridChoice::kMerging;
+      local_stats.Accumulate(phase_stats);
+      if (stats != nullptr) *stats = local_stats;
       return result;
     }
-    first_error = kaware.status();
-  }
-  {
-    CDPD_TRACE_SPAN(tracer, "hybrid.merge", "solver", l - k);
-    Result<DesignSchedule> merged =
-        MergeToConstraint(problem, unconstrained, k, &phase_stats, pool,
-                          tracer, budget, progress, logger, tracker);
-    if (merged.ok()) {
-      result.schedule = std::move(merged).value();
-      result.choice = HybridChoice::kMerging;
-      result.stats.Accumulate(phase_stats);
-      return result;
-    }
-    if (first_error.ok()) first_error = merged.status();
-  }
-  if (prefer_kaware) return first_error;
-  {
-    CDPD_TRACE_SPAN(tracer, "hybrid.kaware", "solver", k);
-    Result<DesignSchedule> kaware = SolveKAware(
-        problem, k, &phase_stats, pool, tracer, budget, progress, logger,
-        tracker, cost_cache, cache_tally);
-    if (kaware.ok()) {
-      result.schedule = std::move(kaware).value();
-      result.choice = HybridChoice::kKAwareGraph;
-      result.stats.Accumulate(phase_stats);
-      return result;
-    }
+    if (first_error.ok()) first_error = attempt.status();
   }
   return first_error;
 }

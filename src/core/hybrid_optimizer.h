@@ -4,15 +4,10 @@
 #include <cstdint>
 #include <string>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -34,9 +29,6 @@ struct HybridResult {
   /// Cost of the unconstrained optimum the probe computed — the lower
   /// bound the explain report quotes as the optimality-gap baseline.
   double unconstrained_cost = 0.0;
-  /// Unified counters accumulated over both phases (unconstrained
-  /// probe plus the chosen constrained technique).
-  SolveStats stats;
 };
 
 /// The hybrid strategy §6.4 suggests: Figure 4 shows the k-aware
@@ -53,39 +45,24 @@ struct HybridResult {
 /// so the hybrid trades optimality for speed exactly where Figure 4
 /// shows the optimal technique becoming expensive.
 ///
-/// Both phases fan their cost probes out across `pool` when one is
-/// given; results are identical for any thread count. With a `tracer`
-/// the solve records a "hybrid.probe" span around the unconstrained
-/// probe and a "hybrid.kaware" or "hybrid.merge" span around the
-/// chosen constrained phase.
+/// Internal: reached through Solve() (method kHybrid with k set);
+/// `ctx` carries the per-call state (core/solve_context.h) and `stats`
+/// receives the counters accumulated over both phases (unconstrained
+/// probe plus the chosen constrained technique). With a tracer the
+/// solve records a "hybrid.probe" span around the unconstrained probe
+/// and a "hybrid.kaware" or "hybrid.merge" span around each
+/// constrained attempt.
 ///
 /// Resilience: when the chosen constrained technique fails, the hybrid
 /// retries the other one before surfacing an error — a failure of one
-/// branch must never hide an answer the other branch can give. With a
-/// `budget`, the probe and the constrained phase share it; if the
-/// budget is already spent after the probe the hybrid goes straight to
-/// merging, whose static fallback answers immediately, and the result
-/// carries stats.deadline_hit. A budget that never expires changes
-/// nothing: the result is byte-identical to an un-budgeted run.
-///
-/// `progress` receives the phases' updates (probe, then the chosen
-/// constrained technique; thread-safe callback required — see
-/// common/progress.h); `logger` records the branch choice with both
-/// work estimates, plus the phases' own events. Both optional, both
-/// observational only.
-///
-/// `tracker` (optional) flows into both phases, which charge their own
-/// allocation classes (kCostMatrix, kSequenceGraph, kKAwareTable,
-/// kMergingTable); the hybrid itself allocates nothing tracked.
+/// branch must never hide an answer the other branch can give. The
+/// probe and the constrained phase share ctx.budget; if the budget is
+/// already spent after the probe the hybrid goes straight to merging,
+/// whose static fallback answers immediately, and the result carries
+/// stats.deadline_hit. The logger records the branch choice with both
+/// work estimates.
 Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
-                                 ThreadPool* pool = nullptr,
-                                 Tracer* tracer = nullptr,
-                                 const Budget* budget = nullptr,
-                                 const ProgressFn* progress = nullptr,
-                                 Logger* logger = nullptr,
-                                 ResourceTracker* tracker = nullptr,
-                                 CostCache* cost_cache = nullptr,
-                                 CostCacheTally* cache_tally = nullptr);
+                                 SolveStats* stats, const SolveContext& ctx);
 
 }  // namespace cdpd
 

@@ -138,25 +138,17 @@ int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
 }
 
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
-                                   SolveStats* stats, ThreadPool* pool,
-                                   Tracer* tracer, const Budget* budget,
-                                   const ProgressFn* progress, Logger* logger,
-                                   ResourceTracker* tracker,
-                                   CostCache* cost_cache,
-                                   CostCacheTally* cache_tally) {
+                                   SolveStats* stats,
+                                   const SolveContext& ctx) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
-  if (k < 0) {
-    return Status::InvalidArgument("change bound k must be >= 0");
-  }
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
   const size_t n = problem.num_segments();
   const CandidateSpace& configs = problem.candidates;
   const size_t m = configs.size();
 
   SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  local_stats.threads_used = ctx.threads();
   DesignSchedule schedule;
   if (n == 0) {
     if (problem.final_config.has_value()) {
@@ -196,24 +188,23 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   // same anytime contract as a deadline, reached before any table
   // exists.
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
+      ctx.tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
   ScopedReservation table_reservation;
   if (matrix_reservation.ok()) {
     table_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kKAwareTable,
+        ctx.tracker, MemComponent::kKAwareTable,
         PredictKAwareTableBytes(static_cast<int64_t>(n),
                                 static_cast<int64_t>(m), k,
                                 problem.count_initial_change));
   }
   if (!matrix_reservation.ok() || !table_reservation.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, "kaware.memory_limit",
-             LogField("limit_bytes", tracker->limit_bytes()),
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "kaware.memory_limit",
+             LogField("limit_bytes", ctx.tracker->limit_bytes()),
              LogField("fallback", "best-static"));
-    CDPD_ASSIGN_OR_RETURN(schedule, BestStaticSchedule(problem, k));
+    CDPD_ASSIGN_OR_RETURN(schedule, BestStaticSchedule(problem, k, ctx.tally));
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return schedule;
   }
@@ -224,21 +215,21 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   CostMatrix matrix;
   std::vector<double> init_trans(m, 0.0);
   std::vector<double> final_trans(m, 0.0);
-  CDPD_LOG(logger, LogLevel::kInfo, "kaware.start", LogField("segments", n),
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "kaware.start", LogField("segments", n),
            LogField("candidates", m), LogField("k", k),
            LogField("layers", layers));
   {
-    CDPD_TRACE_SPAN(tracer, "kaware.precompute", "solver");
+    CDPD_TRACE_SPAN(ctx.tracer, "kaware.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
-        matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger, cost_cache,
-                                             tracker, cache_tally));
+        matrix, what_if.PrecomputeCostMatrix(
+                    configs, ctx.pool, ctx.tracer, ctx.budget, ctx.progress,
+                    ctx.logger, ctx.cost_cache, ctx.tracker, ctx.tally));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "
           "feasible schedule could be priced");
     }
-    ParallelFor(pool, 0, m, [&](size_t c) {
+    ParallelFor(ctx.pool, 0, m, [&](size_t c) {
       init_trans[c] = what_if.TransitionCost(problem.initial, configs[c]);
       if (problem.final_config.has_value()) {
         final_trans[c] =
@@ -287,7 +278,6 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
 
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return done;
   };
@@ -327,29 +317,30 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
       step_back(stage + 1, &l, &c);
       frozen.configs[stage] = configs[c];
     }
-    frozen.total_cost = EvaluateScheduleCost(problem, frozen.configs);
+    frozen.total_cost =
+        EvaluateScheduleCost(problem, frozen.configs, ctx.tally);
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     return frozen;
   };
 
-  CDPD_TRACE_SPAN(tracer, "kaware.dp", "solver",
+  CDPD_TRACE_SPAN(ctx.tracer, "kaware.dp", "solver",
                   static_cast<int64_t>(n - 1));
   for (size_t stage = 1; stage < n; ++stage) {
-    if (BudgetExpired(budget)) {
+    if (BudgetExpired(ctx.budget)) {
       local_stats.relaxations =
           static_cast<int64_t>(stage - 1) *
           (static_cast<int64_t>(layers * m) +
            static_cast<int64_t>((layers - 1) * m) *
                static_cast<int64_t>(m - 1));
-      CDPD_LOG(logger, LogLevel::kWarn, "kaware.deadline",
+      CDPD_LOG(ctx.logger, LogLevel::kWarn, "kaware.deadline",
                LogField("stage", stage), LogField("stages", n));
       CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen, freeze_prefix(stage - 1));
       return finish(std::move(frozen));
     }
-    ReportProgress(progress, "kaware.dp",
+    ReportProgress(ctx.progress, "kaware.dp",
                    static_cast<double>(stage) / static_cast<double>(n));
-    CDPD_TRACE_SPAN(tracer, "kaware.stage", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "kaware.stage", "solver",
                     static_cast<int64_t>(stage));
     const size_t stage_offset = stage * layers * m;
     local_stats.nodes_expanded +=
@@ -398,13 +389,12 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     if (stage == 0) break;
     step_back(stage, &l, &c);
   }
-  ReportProgress(progress, "kaware.dp", 1.0, schedule.total_cost);
-  CDPD_LOG(logger, LogLevel::kInfo, "kaware.end",
+  ReportProgress(ctx.progress, "kaware.dp", 1.0, schedule.total_cost);
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "kaware.end",
            LogField("cost", schedule.total_cost),
            LogField("nodes_expanded", local_stats.nodes_expanded),
            LogField("relaxations", local_stats.relaxations));
   local_stats.wall_seconds = watch.ElapsedSeconds();
-  local_stats.costings = what_if.costings() - costings_before;
   if (stats != nullptr) *stats = local_stats;
   return schedule;
 }

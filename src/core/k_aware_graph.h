@@ -3,15 +3,10 @@
 
 #include <cstdint>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -55,61 +50,38 @@ int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
 /// Staying in the same configuration keeps the layer; switching
 /// configurations moves one layer down. Runs in O(k * n * |C|^2) time
 /// (= O(k n 2^{2m})), and returns a schedule with at most k changes
-/// under the problem's change-counting policy.
+/// under the problem's change-counting policy. Internal: reached
+/// through Solve() (method kOptimal with k set); `ctx` carries the
+/// per-call state (core/solve_context.h).
 ///
 /// The solve first precomputes the dense EXEC/TRANS cost matrices
-/// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `pool` when
-/// one is given) and then relaxes each stage's (layer, config) cells
-/// serially — a stage is too little work to pay for a pool barrier.
-/// The schedule, cost, and stats are identical for any thread count.
+/// (WhatIfEngine::PrecomputeCostMatrix, fanned out across ctx.pool)
+/// and then relaxes each stage's (layer, config) cells serially — a
+/// stage is too little work to pay for a pool barrier. With a tracer
+/// it records "kaware.precompute", "kaware.dp", and a "kaware.stage"
+/// span per DP stage.
 ///
-/// k must be >= 0. A bound larger than the most changes any schedule
-/// can make (n - 1 interior changes, plus the initial build when it
-/// counts) is clamped to that maximum, so huge k costs no extra layers
-/// and cannot overflow the DP table sizing; a table that would still
-/// not fit in int64 cells is rejected with InvalidArgument *before*
-/// any allocation.
+/// k >= 0 (SolveOptions::Validate checks). A bound larger than the
+/// most changes any schedule can make (n - 1 interior changes, plus
+/// the initial build when it counts) is clamped to that maximum, so
+/// huge k costs no extra layers and cannot overflow the DP table
+/// sizing; a table that would still not fit in int64 cells is rejected
+/// with InvalidArgument *before* any allocation.
 ///
-/// `stats`, `pool`, and `tracer` are optional; with a tracer the solve
-/// records "kaware.precompute", "kaware.dp", and a "kaware.stage" span
-/// per DP stage (timestamps only — results are unchanged).
-///
-/// `budget` (optional) bounds the solve; expiry is polled between
-/// precompute blocks and DP stages. Anytime semantics — on expiry
-/// mid-DP the cheapest completed prefix is frozen (its best
-/// end-of-prefix (layer, config) cell is held for the remaining
-/// stages, which adds no changes, so the k bound still holds) and
-/// returned with stats->deadline_hit set; DeadlineExceeded when the
-/// budget expires before any feasible schedule can be priced. A budget
-/// that never expires changes nothing: the schedule is byte-identical
-/// to an un-budgeted run.
-///
-/// `progress` receives "whatif.precompute" / "kaware.dp" updates at
-/// the existing poll sites (thread-safe callback required; see
-/// common/progress.h); `logger` records phase start/end and
-/// anytime-fallback events. Both optional, both observational only.
-///
-/// `tracker` (optional) accounts the big allocations — the dense cost
-/// matrix (kCostMatrix) and the DP tables (kKAwareTable). When the
-/// tracker carries a soft byte limit that a reservation would pass,
-/// the solve degrades instead of allocating: it returns
-/// BestStaticSchedule (flagged best_effort/deadline_hit) rather than
-/// building tables it has no budget for.
-///
-/// `cost_cache` (optional) is the persistent cross-solve what-if cache
-/// threaded into the precompute (see WhatIfEngine::PrecomputeCostMatrix
-/// and cost/cost_cache.h); it changes probe counts, never costs.
-/// `cache_tally` (optional) receives the solve's own cache traffic.
+/// Anytime semantics: budget expiry is polled between precompute
+/// blocks and DP stages. On expiry mid-DP the cheapest completed
+/// prefix is frozen (its best end-of-prefix (layer, config) cell is
+/// held for the remaining stages, which adds no changes, so the k
+/// bound still holds) and returned with stats->deadline_hit set;
+/// DeadlineExceeded when the budget expires before any feasible
+/// schedule can be priced. The tracker is charged the cost matrix
+/// (kCostMatrix) and the DP tables (kKAwareTable); a refused
+/// reservation returns BestStaticSchedule (flagged
+/// best_effort/deadline_hit) rather than building tables it has no
+/// budget for.
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
-                                   SolveStats* stats = nullptr,
-                                   ThreadPool* pool = nullptr,
-                                   Tracer* tracer = nullptr,
-                                   const Budget* budget = nullptr,
-                                   const ProgressFn* progress = nullptr,
-                                   Logger* logger = nullptr,
-                                   ResourceTracker* tracker = nullptr,
-                                   CostCache* cost_cache = nullptr,
-                                   CostCacheTally* cache_tally = nullptr);
+                                   SolveStats* stats,
+                                   const SolveContext& ctx);
 
 }  // namespace cdpd
 

@@ -114,25 +114,15 @@ std::optional<RankedPath> PathRanker::Next() {
 
 Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
                                       int64_t max_paths, SolveStats* stats,
-                                      ThreadPool* pool, Tracer* tracer,
-                                      const Budget* budget,
-                                      const ProgressFn* progress,
-                                      Logger* logger,
-                                      ResourceTracker* tracker,
-                                      CostCache* cost_cache,
-                                      CostCacheTally* cache_tally) {
+                                      const SolveContext& ctx) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
-  if (k < 0) {
-    return Status::InvalidArgument("change bound k must be >= 0");
-  }
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
   SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  local_stats.threads_used = ctx.threads();
   // Parallel phase: the dense cost tables. The graph build and the
   // path enumeration below are then pure lookups.
-  CDPD_LOG(logger, LogLevel::kInfo, "ranking.start",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "ranking.start",
            LogField("segments", problem.num_segments()),
            LogField("candidates", problem.candidates.size()),
            LogField("k", k), LogField("max_paths", max_paths));
@@ -142,22 +132,23 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
   // degrades to the cheapest static schedule (the same last-resort
   // fallback a failed enumeration reaches below).
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix,
+      ctx.tracker, MemComponent::kCostMatrix,
       CostMatrix::EstimateBytes(problem.num_segments(),
                                 problem.candidates.size()));
   ScopedReservation graph_reservation;
   if (matrix_reservation.ok()) {
     graph_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kSequenceGraph,
+        ctx.tracker, MemComponent::kSequenceGraph,
         EstimateSequenceGraphBytes(
             static_cast<int64_t>(problem.num_segments()),
             static_cast<int64_t>(problem.candidates.size())));
   }
   if (!matrix_reservation.ok() || !graph_reservation.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, "ranking.memory_limit",
-             LogField("limit_bytes", tracker->limit_bytes()),
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "ranking.memory_limit",
+             LogField("limit_bytes", ctx.tracker->limit_bytes()),
              LogField("fallback", "best-static"));
-    Result<DesignSchedule> fallback = BestStaticSchedule(problem, k);
+    Result<DesignSchedule> fallback =
+        BestStaticSchedule(problem, k, ctx.tally);
     if (!fallback.ok()) {
       return Status::DeadlineExceeded(
           "memory budget exhausted before the ranking could start, and "
@@ -166,18 +157,18 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
     local_stats.best_effort = true;
     local_stats.deadline_hit = true;
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return std::move(fallback).value();
   }
 
   CostMatrix matrix;
   {
-    CDPD_TRACE_SPAN(tracer, "ranking.precompute", "solver");
+    CDPD_TRACE_SPAN(ctx.tracer, "ranking.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
-        matrix, what_if.PrecomputeCostMatrix(problem.candidates, pool, tracer,
-                                             budget, progress, logger,
-                                             cost_cache, tracker, cache_tally));
+        matrix, what_if.PrecomputeCostMatrix(
+                    problem.candidates, ctx.pool, ctx.tracer, ctx.budget,
+                    ctx.progress, ctx.logger, ctx.cost_cache, ctx.tracker,
+                    ctx.tally));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(
@@ -187,20 +178,19 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
   CDPD_ASSIGN_OR_RETURN(SequenceGraph graph,
                         SequenceGraph::Build(problem, &matrix));
   local_stats.nodes_expanded = graph.num_nodes();
-  PathRanker ranker(graph, budget, tracker);
-  TraceSpan enumerate_span(tracer, "ranking.enumerate", "solver");
+  PathRanker ranker(graph, ctx.budget, ctx.tracker);
+  TraceSpan enumerate_span(ctx.tracer, "ranking.enumerate", "solver");
   const auto finish = [&] {
     enumerate_span.set_arg(local_stats.paths_enumerated);
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
   };
   while (local_stats.paths_enumerated < max_paths &&
-         !BudgetExpired(budget)) {
+         !BudgetExpired(ctx.budget)) {
     // Every 1024 paths so a megapath enumeration doesn't spend its
     // time in the callback (cost when detached: one AND + one test).
     if ((local_stats.paths_enumerated & 1023) == 0) {
-      ReportProgress(progress, "ranking.enumerate",
+      ReportProgress(ctx.progress, "ranking.enumerate",
                      static_cast<double>(local_stats.paths_enumerated) /
                          static_cast<double>(max_paths));
     }
@@ -211,8 +201,8 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
       DesignSchedule schedule;
       schedule.configs = graph.PathConfigs(path->nodes);
       schedule.total_cost = path->cost;
-      ReportProgress(progress, "ranking.enumerate", 1.0, path->cost);
-      CDPD_LOG(logger, LogLevel::kInfo, "ranking.end",
+      ReportProgress(ctx.progress, "ranking.enumerate", 1.0, path->cost);
+      CDPD_LOG(ctx.logger, LogLevel::kInfo, "ranking.end",
                LogField("cost", path->cost),
                LogField("paths_enumerated", local_stats.paths_enumerated),
                LogField("changes", graph.PathChanges(path->nodes)));
@@ -226,11 +216,11 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
   // beats no answer, and the caller can read best_effort/deadline_hit
   // to tell. (Cost note: the static scan reuses the memoized oracle
   // the precompute already filled, so it is pure cache hits.)
-  const bool expired = BudgetExpired(budget);
-  CDPD_LOG(logger, LogLevel::kWarn, "ranking.fallback",
+  const bool expired = BudgetExpired(ctx.budget);
+  CDPD_LOG(ctx.logger, LogLevel::kWarn, "ranking.fallback",
            LogField("paths_enumerated", local_stats.paths_enumerated),
            LogField("expired", expired));
-  Result<DesignSchedule> fallback = BestStaticSchedule(problem, k);
+  Result<DesignSchedule> fallback = BestStaticSchedule(problem, k, ctx.tally);
   if (fallback.ok()) {
     local_stats.best_effort = true;
     local_stats.deadline_hit = expired;

@@ -6,14 +6,10 @@
 #include <vector>
 
 #include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
-#include "cost/cost_cache.h"
 #include "core/sequence_graph.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
 
 namespace cdpd {
@@ -110,37 +106,25 @@ class PathRanker {
 /// feasible, ResourceExhausted when the cap/exhaustion hit and the
 /// fallback is infeasible.
 ///
-/// The EXEC/TRANS cost matrices are precomputed in parallel across
-/// `pool` before the graph is materialized; the enumeration itself is
-/// inherently sequential (each ranked path conditions the next). With
-/// a `tracer` the solve records "ranking.precompute" and
-/// "ranking.enumerate" spans (arg = paths enumerated). A budget that
-/// never expires changes nothing: the schedule is byte-identical to an
-/// un-budgeted run.
+/// Internal: reached through Solve() (method kRanking with k set;
+/// `max_paths` is SolveOptions::ranking_max_paths); `ctx` carries the
+/// per-call state (core/solve_context.h). The EXEC/TRANS cost matrices
+/// are precomputed in parallel across ctx.pool before the graph is
+/// materialized; the enumeration itself is inherently sequential (each
+/// ranked path conditions the next). With a tracer the solve records
+/// "ranking.precompute" and "ranking.enumerate" spans (arg = paths
+/// enumerated); progress reports the enumeration fraction as paths
+/// yielded over `max_paths`.
 ///
-/// `progress` receives "whatif.precompute" / "ranking.enumerate"
-/// updates at the existing poll sites, the enumeration fraction being
-/// paths yielded over `max_paths` (thread-safe callback required; see
-/// common/progress.h); `logger` records start/end and fallback events.
-/// Both optional, both observational only.
-///
-/// `tracker` (optional) accounts the cost matrix (kCostMatrix), the
+/// The tracker is charged the cost matrix (kCostMatrix), the
 /// materialized graph (kSequenceGraph), and — through PathRanker's
 /// counting allocator — the enumeration state (kRankingQueue). A limit
 /// refusal before the graph exists degrades straight to the static
 /// fallback; a limit tripped mid-enumeration winds down at the next
 /// poll via the attached Budget.
 Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
-                                      int64_t max_paths = 1'000'000,
-                                      SolveStats* stats = nullptr,
-                                      ThreadPool* pool = nullptr,
-                                      Tracer* tracer = nullptr,
-                                      const Budget* budget = nullptr,
-                                      const ProgressFn* progress = nullptr,
-                                      Logger* logger = nullptr,
-                                      ResourceTracker* tracker = nullptr,
-                                      CostCache* cost_cache = nullptr,
-                                      CostCacheTally* cache_tally = nullptr);
+                                      int64_t max_paths, SolveStats* stats,
+                                      const SolveContext& ctx);
 
 }  // namespace cdpd
 

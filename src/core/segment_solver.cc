@@ -138,30 +138,24 @@ int64_t ChunkRelaxations(size_t chunk_len, size_t layers, size_t m) {
 
 }  // namespace
 
-Result<DesignSchedule> SolveKAwareSegmented(
-    const DesignProblem& problem, int64_t k, size_t num_chunks,
-    SolveStats* stats, ThreadPool* pool, Tracer* tracer, const Budget* budget,
-    const ProgressFn* progress, Logger* logger, ResourceTracker* tracker,
-    CostCache* cost_cache, CostCacheTally* cache_tally) {
+Result<DesignSchedule> SolveKAwareSegmented(const DesignProblem& problem,
+                                            int64_t k, size_t num_chunks,
+                                            SolveStats* stats,
+                                            const SolveContext& ctx) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
-  if (k < 0) {
-    return Status::InvalidArgument("change bound k must be >= 0");
-  }
   const size_t n = problem.num_segments();
   if (num_chunks < 2 || n < 2 || num_chunks > n) {
     // Degenerate decomposition: the monolithic DP is the same
     // computation without the redundancy.
-    return SolveKAware(problem, k, stats, pool, tracer, budget, progress,
-                       logger, tracker, cost_cache, cache_tally);
+    return SolveKAware(problem, k, stats, ctx);
   }
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
   const CandidateSpace& configs = problem.candidates;
   const size_t m = configs.size();
 
   SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  local_stats.threads_used = ctx.threads();
 
   const int64_t max_changes =
       static_cast<int64_t>(n) - 1 + (problem.count_initial_change ? 1 : 0);
@@ -214,33 +208,32 @@ Result<DesignSchedule> SolveKAwareSegmented(
   DesignSchedule schedule;
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return done;
   };
   const auto best_static_fallback =
       [&](const char* why) -> Result<DesignSchedule> {
-    CDPD_LOG(logger, LogLevel::kWarn, "segment.fallback",
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "segment.fallback",
              LogField("reason", why), LogField("fallback", "best-static"));
     CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback,
-                          BestStaticSchedule(problem, k));
+                          BestStaticSchedule(problem, k, ctx.tally));
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     return finish(std::move(fallback));
   };
 
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
+      ctx.tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
   ScopedReservation table_reservation;
   if (matrix_reservation.ok()) {
     table_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kKAwareTable, table_bytes);
+        ctx.tracker, MemComponent::kKAwareTable, table_bytes);
   }
   if (!matrix_reservation.ok() || !table_reservation.ok()) {
     return best_static_fallback("memory_limit");
   }
 
-  CDPD_LOG(logger, LogLevel::kInfo, "segment.start", LogField("stages", n),
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "segment.start", LogField("stages", n),
            LogField("candidates", m), LogField("k", k),
            LogField("chunks", num_c),
            LogField("stitch_window", stitch_layers));
@@ -252,17 +245,17 @@ Result<DesignSchedule> SolveKAwareSegmented(
   std::vector<double> final_trans(m, 0.0);
   std::vector<uint8_t> is_initial(m, 0);
   {
-    CDPD_TRACE_SPAN(tracer, "segment.precompute", "solver");
+    CDPD_TRACE_SPAN(ctx.tracer, "segment.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
-        matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger, cost_cache,
-                                             tracker, cache_tally));
+        matrix, what_if.PrecomputeCostMatrix(
+                    configs, ctx.pool, ctx.tracer, ctx.budget, ctx.progress,
+                    ctx.logger, ctx.cost_cache, ctx.tracker, ctx.tally));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "
           "feasible schedule could be priced");
     }
-    ParallelFor(pool, 0, m, [&](size_t c) {
+    ParallelFor(ctx.pool, 0, m, [&](size_t c) {
       init_trans[c] = what_if.TransitionCost(problem.initial, configs[c]);
       is_initial[c] = configs[c] == problem.initial ? 1 : 0;
       if (problem.final_config.has_value()) {
@@ -291,10 +284,10 @@ Result<DesignSchedule> SolveKAwareSegmented(
   std::atomic<size_t> tasks_done{0};
   bool complete;
   {
-    CDPD_TRACE_SPAN(tracer, "segment.chunk_dp", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "segment.chunk_dp", "solver",
                     static_cast<int64_t>(tasks.size()));
     complete = ParallelFor(
-        pool, 0, tasks.size(),
+        ctx.pool, 0, tasks.size(),
         [&](size_t ti) {
           const auto [t, entry] = tasks[ti];
           const size_t layers = chunk_layers[t];
@@ -310,11 +303,11 @@ Result<DesignSchedule> SolveKAwareSegmented(
                     F[t].begin() + slot * layers * m);
           const size_t done =
               tasks_done.fetch_add(1, std::memory_order_relaxed) + 1;
-          ReportProgress(progress, "segment.chunks",
+          ReportProgress(ctx.progress, "segment.chunks",
                          static_cast<double>(done) /
                              static_cast<double>(tasks.size()));
         },
-        budget);
+        ctx.budget);
   }
   local_stats.nodes_expanded = nodes_expanded.load(std::memory_order_relaxed);
   int64_t relaxations = 0;
@@ -323,7 +316,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
                    ChunkRelaxations(chunks[t].size(), chunk_layers[t], m);
   }
   local_stats.relaxations = relaxations;
-  if (!complete || BudgetExpired(budget)) {
+  if (!complete || BudgetExpired(ctx.budget)) {
     return best_static_fallback("deadline");
   }
 
@@ -339,7 +332,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
   std::vector<StitchParent> stitch_parent(num_c * stitch_layers * m);
   int64_t stitch_relaxations = 0;
   {
-    CDPD_TRACE_SPAN(tracer, "segment.stitch", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "segment.stitch", "solver",
                     static_cast<int64_t>(num_c));
     for (size_t l = 0; l < chunk_layers[0]; ++l) {
       for (size_t x = 0; x < m; ++x) {
@@ -426,10 +419,10 @@ Result<DesignSchedule> SolveKAwareSegmented(
   std::atomic<bool> rebuild_bad{false};
   bool rebuilt;
   {
-    CDPD_TRACE_SPAN(tracer, "segment.rebuild", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "segment.rebuild", "solver",
                     static_cast<int64_t>(num_c));
     rebuilt = ParallelFor(
-        pool, 0, num_c,
+        ctx.pool, 0, num_c,
         [&](size_t t) {
           const Segment& chunk = chunks[t];
           const size_t layers = chunk_layers[t];
@@ -454,7 +447,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
             c = static_cast<size_t>(p.config);
           }
         },
-        budget);
+        ctx.budget);
     for (size_t t = 0; t < num_c; ++t) {
       relaxations = ChunkRelaxations(chunks[t].size(), chunk_layers[t], m);
       local_stats.relaxations += relaxations;
@@ -468,9 +461,10 @@ Result<DesignSchedule> SolveKAwareSegmented(
         "segmented k-aware rebuild could not reach the stitched cell");
   }
 
-  schedule.total_cost = EvaluateScheduleCost(problem, schedule.configs);
-  ReportProgress(progress, "segment.chunks", 1.0, schedule.total_cost);
-  CDPD_LOG(logger, LogLevel::kInfo, "segment.end",
+  schedule.total_cost =
+      EvaluateScheduleCost(problem, schedule.configs, ctx.tally);
+  ReportProgress(ctx.progress, "segment.chunks", 1.0, schedule.total_cost);
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "segment.end",
            LogField("cost", schedule.total_cost),
            LogField("chunks", num_c),
            LogField("nodes_expanded", local_stats.nodes_expanded),

@@ -3,16 +3,11 @@
 
 #include <cstdint>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -50,7 +45,7 @@ size_t ResolveNumChunks(const SegmentSolveOptions& options,
 /// chunks (balanced by statement weight via SplitStagesBalanced, so
 /// boundaries respect adaptive segmentation), each chunk is solved as
 /// an independent layered DP *per entry configuration* in parallel on
-/// `pool`, and a small boundary DP stitches the per-chunk tables back
+/// ctx.pool, and a small boundary DP stitches the per-chunk tables back
 /// together, apportioning the change budget k across chunks.
 ///
 /// Why this is exact: any schedule decomposes at the chunk boundaries
@@ -80,14 +75,13 @@ size_t ResolveNumChunks(const SegmentSolveOptions& options,
 /// tables do not admit the monolithic prefix freeze). Stats adds
 /// segment_chunks and stitch_window. num_chunks must be >= 2 and
 /// <= the stage count (callers resolve via ResolveNumChunks and
-/// dispatch to SolveKAware otherwise).
-Result<DesignSchedule> SolveKAwareSegmented(
-    const DesignProblem& problem, int64_t k, size_t num_chunks,
-    SolveStats* stats = nullptr, ThreadPool* pool = nullptr,
-    Tracer* tracer = nullptr, const Budget* budget = nullptr,
-    const ProgressFn* progress = nullptr, Logger* logger = nullptr,
-    ResourceTracker* tracker = nullptr, CostCache* cost_cache = nullptr,
-                                        CostCacheTally* cache_tally = nullptr);
+/// dispatch to SolveKAware otherwise). Internal: reached through
+/// Solve() (method kOptimal with k set and segmented.num_chunks >= 2);
+/// `ctx` carries the per-call state (core/solve_context.h).
+Result<DesignSchedule> SolveKAwareSegmented(const DesignProblem& problem,
+                                            int64_t k, size_t num_chunks,
+                                            SolveStats* stats,
+                                            const SolveContext& ctx);
 
 }  // namespace cdpd
 

@@ -25,8 +25,9 @@ namespace cdpd {
 struct SolveStats {
   /// Wall-clock time of the solve.
   double wall_seconds = 0.0;
-  /// What-if statement costings performed during the solve (the
-  /// dominant work unit of the optimizer-cost experiments).
+  /// What-if statement costings this solve's own probes performed
+  /// (the dominant work unit of the optimizer-cost experiments),
+  /// exact even while other callers probe the same engine.
   int64_t costings = 0;
   /// Persistent cost-cache activity attributable to this solve
   /// (SolveOptions::cost_cache): per-statement probes answered from

@@ -60,6 +60,21 @@ const char* MethodSpanName(OptimizerMethod method) {
   return "solve";
 }
 
+/// method_detail of an unbounded solve (options.k unset), which every
+/// method but GREEDY-SEQ answers with the plain sequence-graph optimum.
+std::string UnconstrainedDetail(OptimizerMethod method) {
+  switch (method) {
+    case OptimizerMethod::kMerging:
+      return "merging (no constraint; unconstrained optimum)";
+    case OptimizerMethod::kRanking:
+      return "ranking (no constraint; shortest path)";
+    case OptimizerMethod::kHybrid:
+      return "hybrid (no constraint; shortest path)";
+    default:
+      return "sequence-graph shortest path";
+  }
+}
+
 }  // namespace
 
 Status SolveOptions::Validate() const {
@@ -170,22 +185,34 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   const int64_t cpu_before = ProcessCpuTimeMicros();
   const Stopwatch watch;
 
+  // Every sub-solver this call dispatches shares one context. The
+  // tally counts this call's own probes — costings, and cost-cache
+  // hits, misses and evictions — where they happen, so compound
+  // methods (hybrid, greedy-seq, merging) never double count and
+  // concurrent callers sharing the engine or the cache never see each
+  // other's traffic.
+  ProbeTally tally;
+  const SolveContext ctx{.pool = pool,
+                         .tracer = tracer,
+                         .budget = budget,
+                         .progress = progress,
+                         .logger = logger,
+                         .tracker = &tracker,
+                         .cost_cache = options.cost_cache,
+                         .tally = &tally};
+
   // Dominance pruning runs before dispatch so every method sees the
   // reduced candidate space. The dispatched problem is a shallow copy
-  // sharing the what-if oracle; pruning's probe costs are folded into
-  // stats.costings after dispatch (sub-solvers reset stats wholesale).
+  // sharing the what-if oracle.
   const DesignProblem* active = &problem;
   DesignProblem pruned_problem;
   int64_t pruned_configs = 0;
-  int64_t prune_costings = 0;
   if (options.prune_dominated && problem.what_if != nullptr &&
       problem.candidates.size() > 1) {
     CDPD_TRACE_SPAN(tracer, "solve.prune", "solver",
                     static_cast<int64_t>(problem.candidates.size()));
-    const int64_t costings_before = problem.what_if->costings();
-    DominanceResult pruned =
-        PruneDominatedConfigs(problem, pool, budget, logger, &tracker);
-    prune_costings = problem.what_if->costings() - costings_before;
+    DominanceResult pruned = PruneDominatedConfigs(problem, pool, budget,
+                                                   logger, &tracker, &tally);
     pruned_configs = pruned.pruned;
     if (pruned.pruned > 0) {
       pruned_problem = problem;
@@ -194,153 +221,108 @@ Result<SolveResult> Solve(const DesignProblem& problem,
     }
   }
 
-  // Cache traffic is counted per call at the probes, into a tally this
-  // solve owns, so compound methods (hybrid, greedy-seq, merging)
-  // never double count and concurrent solves sharing the cache never
-  // see each other's traffic.
-  CostCache* const cost_cache = options.cost_cache;
-  CostCacheTally cache_tally;
-
   SolveResult result;
   result.tracer = tracer;
   CDPD_TRACE_SPAN(tracer, MethodSpanName(options.method), "solver",
                   options.k.value_or(Tracer::kNoArg));
-  switch (options.method) {
-    case OptimizerMethod::kOptimal: {
-      if (!options.k.has_value()) {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache,
-                               &cache_tally));
-        result.method_detail = "sequence-graph shortest path";
-        result.unconstrained_cost = result.schedule.total_cost;
-      } else {
+  if (!options.k.has_value() && options.method != OptimizerMethod::kGreedySeq) {
+    // Without a bound every method's answer is the plain sequence-graph
+    // optimum, which is exact for all of them.
+    CDPD_ASSIGN_OR_RETURN(result.schedule,
+                          SolveUnconstrained(*active, &result.stats, ctx));
+    result.method_detail = UnconstrainedDetail(options.method);
+    result.unconstrained_cost = result.schedule.total_cost;
+  } else {
+    switch (options.method) {
+      case OptimizerMethod::kOptimal: {
         const size_t chunks =
             ResolveNumChunks(options.segmented, active->num_segments());
         if (chunks >= 2) {
           CDPD_ASSIGN_OR_RETURN(
               result.schedule,
-              SolveKAwareSegmented(*active, *options.k, chunks, &result.stats,
-                                   pool, tracer, budget, progress, logger,
-                                   &tracker, cost_cache, &cache_tally));
+              SolveKAwareSegmented(*active, *options.k, chunks,
+                                   &result.stats, ctx));
           result.method_detail = "segment-parallel k-aware (" +
                                  std::to_string(chunks) + " chunks)";
         } else {
           CDPD_ASSIGN_OR_RETURN(
               result.schedule,
-              SolveKAware(*active, *options.k, &result.stats, pool, tracer,
-                          budget, progress, logger, &tracker, cost_cache,
-                          &cache_tally));
+              SolveKAware(*active, *options.k, &result.stats, ctx));
           result.method_detail = "k-aware sequence graph";
         }
+        break;
       }
-      break;
-    }
-    case OptimizerMethod::kGreedySeq: {
-      CDPD_ASSIGN_OR_RETURN(GreedySeqResult greedy_result,
-                            SolveGreedySeq(*active, options.k, options.greedy,
-                                           pool, tracer, budget, progress,
-                                           logger, &tracker, cost_cache,
-                                           &cache_tally));
-      result.schedule = std::move(greedy_result.schedule);
-      result.stats = greedy_result.stats;
-      result.reduced_candidates =
-          std::move(greedy_result.reduced_candidates);
-      result.method_detail =
-          "greedy-seq reduced candidates: " +
-          std::to_string(result.reduced_candidates.size());
-      break;
-    }
-    case OptimizerMethod::kMerging: {
-      CDPD_ASSIGN_OR_RETURN(
-          DesignSchedule unconstrained,
-          SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                             progress, logger, &tracker, cost_cache,
-                             &cache_tally));
-      result.unconstrained_cost = unconstrained.total_cost;
-      if (!options.k.has_value()) {
-        result.schedule = std::move(unconstrained);
-        result.method_detail = "merging (no constraint; unconstrained optimum)";
-      } else {
+      case OptimizerMethod::kGreedySeq: {
+        CDPD_ASSIGN_OR_RETURN(
+            GreedySeqResult greedy_result,
+            SolveGreedySeq(*active, options.k, options.greedy, &result.stats,
+                           ctx));
+        result.schedule = std::move(greedy_result.schedule);
+        result.reduced_candidates =
+            std::move(greedy_result.reduced_candidates);
+        result.method_detail =
+            "greedy-seq reduced candidates: " +
+            std::to_string(result.reduced_candidates.size());
+        break;
+      }
+      case OptimizerMethod::kMerging: {
+        CDPD_ASSIGN_OR_RETURN(
+            DesignSchedule unconstrained,
+            SolveUnconstrained(*active, &result.stats, ctx));
+        result.unconstrained_cost = unconstrained.total_cost;
         SolveStats merge_stats;
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             MergeToConstraint(*active, unconstrained, *options.k,
-                              &merge_stats, pool, tracer, budget, progress,
-                              logger, &tracker));
+                              &merge_stats, ctx));
         result.stats.Accumulate(merge_stats);
         result.method_detail =
             "merging steps: " + std::to_string(merge_stats.merge_steps);
+        break;
       }
-      break;
-    }
-    case OptimizerMethod::kRanking: {
-      if (!options.k.has_value()) {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache,
-                               &cache_tally));
-        result.method_detail = "ranking (no constraint; shortest path)";
-        result.unconstrained_cost = result.schedule.total_cost;
-      } else {
+      case OptimizerMethod::kRanking: {
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveByRanking(*active, *options.k, options.ranking_max_paths,
-                           &result.stats, pool, tracer, budget, progress,
-                           logger, &tracker, cost_cache, &cache_tally));
+                           &result.stats, ctx));
         result.method_detail =
             "ranked paths: " + std::to_string(result.stats.paths_enumerated);
+        break;
       }
-      break;
-    }
-    case OptimizerMethod::kHybrid: {
-      if (!options.k.has_value()) {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache,
-                               &cache_tally));
-        result.method_detail = "hybrid (no constraint; shortest path)";
-        result.unconstrained_cost = result.schedule.total_cost;
-      } else {
+      case OptimizerMethod::kHybrid: {
         CDPD_ASSIGN_OR_RETURN(
             HybridResult hybrid,
-            SolveHybrid(*active, *options.k, pool, tracer, budget, progress,
-                        logger, &tracker, cost_cache, &cache_tally));
+            SolveHybrid(*active, *options.k, &result.stats, ctx));
         result.schedule = std::move(hybrid.schedule);
-        result.stats = hybrid.stats;
         result.unconstrained_cost = hybrid.unconstrained_cost;
         result.method_detail =
             std::string("hybrid chose ") +
             std::string(HybridChoiceToString(hybrid.choice));
+        break;
       }
-      break;
     }
   }
-  // Pruning ran before the dispatched solver reset the stats, so its
-  // contribution is folded in here.
+  // The sub-solvers reset their stats wholesale, so the per-call
+  // counters that span phases (pruning included) are filled in here.
   result.stats.pruned_configs = pruned_configs;
-  result.stats.costings += prune_costings;
+  result.stats.costings = tally.costings.load(std::memory_order_relaxed);
   // The per-solver wall times cover their own phases; the top-level
   // clock covers dispatch plus pool setup and is what callers see.
   result.stats.wall_seconds = watch.ElapsedSeconds();
   result.stats.cpu_seconds =
       static_cast<double>(ProcessCpuTimeMicros() - cpu_before) / 1e6;
   result.stats.threads_used = threads;
-  if (cost_cache != nullptr) {
-    result.stats.cost_cache_hits =
-        cache_tally.hits.load(std::memory_order_relaxed);
+  if (options.cost_cache != nullptr) {
+    result.stats.cost_cache_hits = tally.hits.load(std::memory_order_relaxed);
     result.stats.cost_cache_misses =
-        cache_tally.misses.load(std::memory_order_relaxed);
+        tally.misses.load(std::memory_order_relaxed);
     result.stats.cost_cache_evictions =
-        cache_tally.evictions.load(std::memory_order_relaxed);
+        tally.evictions.load(std::memory_order_relaxed);
     // Timestamp-only span carrying the solve's hit count, so a trace
     // shows at a glance whether the precompute ran warm or cold.
     TraceSpan cache_span(tracer, "solve.cost_cache", "solver");
     cache_span.set_arg(result.stats.cost_cache_hits);
-    cost_cache->PublishTo(obs.metrics);
+    options.cost_cache->PublishTo(obs.metrics);
   }
   result.stats.CaptureMemory(tracker);
   result.stats.memory_limit_hit = tracker.limit_exceeded();

@@ -40,10 +40,9 @@ std::string_view OptimizerMethodToString(OptimizerMethod method);
 Result<OptimizerMethod> OptimizerMethodFromString(std::string_view name);
 
 /// Everything that parameterizes one Solve() call, uniform across the
-/// five techniques. Replaces the divergent free-function signatures
-/// (SolveKAware/SolveGreedySeq/SolveHybrid/SolveByRanking/
-/// SolveUnconstrained), which remain available as lower-level entry
-/// points.
+/// five techniques. Solve() is the only entry point: it validates
+/// these options once, resolves them into the per-call SolveContext
+/// (core/solve_context.h), and dispatches to the internal sub-solvers.
 struct SolveOptions {
   OptimizerMethod method = OptimizerMethod::kOptimal;
   /// Change bound k; nullopt = unconstrained (no magic -1 sentinel).

@@ -7,23 +7,17 @@
 namespace cdpd {
 
 Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
-                                          SolveStats* stats, ThreadPool* pool,
-                                          Tracer* tracer, const Budget* budget,
-                                          const ProgressFn* progress,
-                                          Logger* logger,
-                                          ResourceTracker* tracker,
-                                          CostCache* cost_cache,
-                                          CostCacheTally* cache_tally) {
+                                          SolveStats* stats,
+                                          const SolveContext& ctx) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
   const size_t n = problem.num_segments();
   const CandidateSpace& configs = problem.candidates;
   const size_t m = configs.size();
 
   SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  local_stats.threads_used = ctx.threads();
   DesignSchedule schedule;
   if (n == 0) {
     if (problem.final_config.has_value()) {
@@ -35,31 +29,30 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
     return schedule;
   }
 
-  CDPD_LOG(logger, LogLevel::kInfo, "unconstrained.start",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "unconstrained.start",
            LogField("segments", n), LogField("candidates", m));
 
   // Charge the matrix and the DP arrays (dist/next doubles plus the
   // n x m parent table) before allocating either; a refusal degrades
   // to the cheapest static schedule instead of blowing the budget.
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
+      ctx.tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
   ScopedReservation dp_reservation;
   if (matrix_reservation.ok()) {
     dp_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kSequenceGraph,
+        ctx.tracker, MemComponent::kSequenceGraph,
         static_cast<int64_t>((2 * m) * sizeof(double) +
                              n * m * sizeof(size_t)));
   }
   if (!matrix_reservation.ok() || !dp_reservation.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, "unconstrained.memory_limit",
-             LogField("limit_bytes", tracker->limit_bytes()),
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "unconstrained.memory_limit",
+             LogField("limit_bytes", ctx.tracker->limit_bytes()),
              LogField("fallback", "best-static"));
-    CDPD_ASSIGN_OR_RETURN(schedule,
-                          BestStaticSchedule(problem, std::nullopt));
+    CDPD_ASSIGN_OR_RETURN(
+        schedule, BestStaticSchedule(problem, std::nullopt, ctx.tally));
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return schedule;
   }
@@ -67,11 +60,11 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
   // Parallel precompute; the DP below is pure table lookups.
   CostMatrix matrix;
   {
-    CDPD_TRACE_SPAN(tracer, "unconstrained.precompute", "solver");
+    CDPD_TRACE_SPAN(ctx.tracer, "unconstrained.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
-        matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger, cost_cache,
-                                             tracker, cache_tally));
+        matrix, what_if.PrecomputeCostMatrix(
+                    configs, ctx.pool, ctx.tracer, ctx.budget, ctx.progress,
+                    ctx.logger, ctx.cost_cache, ctx.tracker, ctx.tally));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(
@@ -83,9 +76,9 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
   std::vector<double> dist(m);
   std::vector<std::vector<size_t>> parent(n, std::vector<size_t>(m, 0));
 
-  CDPD_TRACE_SPAN(tracer, "unconstrained.dp", "solver",
+  CDPD_TRACE_SPAN(ctx.tracer, "unconstrained.dp", "solver",
                   static_cast<int64_t>(n));
-  ParallelFor(pool, 0, m, [&](size_t c) {
+  ParallelFor(ctx.pool, 0, m, [&](size_t c) {
     dist[c] = what_if.TransitionCost(problem.initial, configs[c]) +
               matrix.Exec(0, c);
   });
@@ -93,7 +86,6 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
 
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
     local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
     return done;
   };
@@ -124,24 +116,25 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
       frozen.configs[s] = configs[c];
       c = parent[s][c];
     }
-    frozen.total_cost = EvaluateScheduleCost(problem, frozen.configs);
+    frozen.total_cost =
+        EvaluateScheduleCost(problem, frozen.configs, ctx.tally);
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     return frozen;
   };
 
   for (size_t stage = 1; stage < n; ++stage) {
-    if (BudgetExpired(budget)) {
+    if (BudgetExpired(ctx.budget)) {
       local_stats.nodes_expanded = static_cast<int64_t>(stage * m);
       local_stats.relaxations =
           static_cast<int64_t>(stage - 1) * static_cast<int64_t>(m * m);
-      CDPD_LOG(logger, LogLevel::kWarn, "unconstrained.deadline",
+      CDPD_LOG(ctx.logger, LogLevel::kWarn, "unconstrained.deadline",
                LogField("stage", stage), LogField("stages", n));
       return finish(freeze_prefix(stage - 1));
     }
-    ReportProgress(progress, "unconstrained.dp",
+    ReportProgress(ctx.progress, "unconstrained.dp",
                    static_cast<double>(stage) / static_cast<double>(n));
-    CDPD_TRACE_SPAN(tracer, "unconstrained.stage", "solver",
+    CDPD_TRACE_SPAN(ctx.tracer, "unconstrained.stage", "solver",
                     static_cast<int64_t>(stage));
     // Serial: a stage's m cells are too little work to pay for a pool
     // round trip and barrier; the pool serves the precompute above.
@@ -189,13 +182,12 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
     schedule.configs[stage] = configs[c];
     c = parent[stage][c];
   }
-  ReportProgress(progress, "unconstrained.dp", 1.0, schedule.total_cost);
-  CDPD_LOG(logger, LogLevel::kInfo, "unconstrained.end",
+  ReportProgress(ctx.progress, "unconstrained.dp", 1.0, schedule.total_cost);
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "unconstrained.end",
            LogField("cost", schedule.total_cost),
            LogField("nodes_expanded", local_stats.nodes_expanded),
            LogField("relaxations", local_stats.relaxations));
   local_stats.wall_seconds = watch.ElapsedSeconds();
-  local_stats.costings = what_if.costings() - costings_before;
   if (stats != nullptr) *stats = local_stats;
   return schedule;
 }

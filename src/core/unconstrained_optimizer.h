@@ -1,15 +1,10 @@
 #ifndef CDPD_CORE_UNCONSTRAINED_OPTIMIZER_H_
 #define CDPD_CORE_UNCONSTRAINED_OPTIMIZER_H_
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
+#include "core/solve_context.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -25,43 +20,27 @@ namespace cdpd {
 /// Figure 1, in O(n * |candidates|^2) time (= O(n * 2^{2m}) when the
 /// candidate space is all subsets of m indexes).
 ///
-/// Precomputes the dense EXEC/TRANS matrices (in parallel across
-/// `pool` when one is given), then relaxes each stage's configurations
-/// serially; the result is identical for any thread count. With a
-/// `tracer` the solve records "unconstrained.precompute",
-/// "unconstrained.dp", and a "unconstrained.stage" span per DP stage.
+/// Internal: reached through Solve() whenever k is unset (and by the
+/// merging and hybrid methods); `ctx` carries the per-call state
+/// (core/solve_context.h). Precomputes the dense EXEC/TRANS matrices
+/// (in parallel across ctx.pool), then relaxes each stage's
+/// configurations serially. With a tracer the solve records
+/// "unconstrained.precompute", "unconstrained.dp", and a
+/// "unconstrained.stage" span per DP stage.
 ///
-/// `budget` (optional) bounds the solve: expiry is polled between
-/// precompute blocks and DP stages. Anytime semantics — on expiry
-/// mid-DP the best completed prefix is frozen (its cheapest
-/// end-of-prefix configuration is held for the remaining stages) and
-/// returned with stats->deadline_hit set; DeadlineExceeded only when
-/// the budget expires before the precompute finishes, i.e. before any
-/// feasible schedule can be priced. A budget that never expires
-/// changes nothing: the schedule is byte-identical to an un-budgeted
-/// run.
-///
-/// `progress` receives "whatif.precompute" / "unconstrained.dp"
-/// updates at the existing poll sites (thread-safe callback required;
-/// see common/progress.h); `logger` records phase start/end and
-/// anytime-fallback events. Both optional, both observational only.
-///
-/// `tracker` (optional) accounts the dense cost matrix (kCostMatrix)
-/// and the sequence-graph DP arrays (kSequenceGraph); when its soft
-/// limit refuses either reservation the solve returns
-/// BestStaticSchedule flagged best_effort/deadline_hit instead of
-/// allocating past budget.
-///
-/// `cost_cache` (optional) is the persistent cross-solve what-if cache
-/// threaded into the precompute (see WhatIfEngine::PrecomputeCostMatrix
-/// and cost/cost_cache.h); it changes probe counts, never costs.
-/// `cache_tally` (optional) receives the solve's own cache traffic.
-Result<DesignSchedule> SolveUnconstrained(
-    const DesignProblem& problem, SolveStats* stats = nullptr,
-    ThreadPool* pool = nullptr, Tracer* tracer = nullptr,
-    const Budget* budget = nullptr, const ProgressFn* progress = nullptr,
-    Logger* logger = nullptr, ResourceTracker* tracker = nullptr,
-    CostCache* cost_cache = nullptr, CostCacheTally* cache_tally = nullptr);
+/// Anytime semantics: budget expiry is polled between precompute
+/// blocks and DP stages. On expiry mid-DP the best completed prefix is
+/// frozen (its cheapest end-of-prefix configuration is held for the
+/// remaining stages) and returned with stats->deadline_hit set;
+/// DeadlineExceeded only when the budget expires before the precompute
+/// finishes, i.e. before any feasible schedule can be priced. The
+/// tracker is charged the dense cost matrix (kCostMatrix) and the DP
+/// arrays (kSequenceGraph); when its soft limit refuses either
+/// reservation the solve returns BestStaticSchedule flagged
+/// best_effort/deadline_hit instead of allocating past budget.
+Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
+                                          SolveStats* stats,
+                                          const SolveContext& ctx);
 
 }  // namespace cdpd
 

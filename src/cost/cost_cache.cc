@@ -3,7 +3,7 @@
 namespace cdpd {
 
 bool CostCache::EnsureValid(uint64_t token, ResourceTracker* tracker,
-                            CostCacheTally* tally) {
+                            ProbeTally* tally) {
   if (token_.load(std::memory_order_acquire) == token) return false;
   // One validator at a time: concurrent EnsureValid calls with the
   // same new token clear once, and a mid-solve token change (two
@@ -51,7 +51,7 @@ bool CostCache::Lookup(uint64_t statement_fp, uint64_t config_mask,
 }
 
 void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker,
-                              CostCacheTally* tally) {
+                              ProbeTally* tally) {
   // Coarse shard-granularity eviction: sweep shards in a deterministic
   // rotating order — each episode resumes where the last one stopped,
   // so sustained cap pressure cycles through all shards instead of
@@ -91,7 +91,7 @@ void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker,
 
 bool CostCache::Insert(uint64_t statement_fp, uint64_t config_mask,
                        double cost, ResourceTracker* tracker,
-                       CostCacheTally* tally) {
+                       ProbeTally* tally) {
   const Key key{statement_fp, config_mask};
   Shard& shard = ShardFor(key);
   {

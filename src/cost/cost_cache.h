@@ -9,24 +9,9 @@
 
 #include "common/metrics.h"
 #include "common/resource_tracker.h"
+#include "cost/probe_tally.h"
 
 namespace cdpd {
-
-/// One caller's share of a CostCache's traffic, counted where it
-/// happens: hits and misses at the probe (WhatIfEngine's cached EXEC
-/// fill), evictions at the Insert/EnsureValid that caused them. Solve()
-/// owns one per call, so concurrent solves sharing a cache still report
-/// exactly their own traffic. Relaxed atomics: one solve's pool
-/// workers add to it concurrently.
-struct CostCacheTally {
-  std::atomic<int64_t> hits{0};
-  std::atomic<int64_t> misses{0};
-  std::atomic<int64_t> evictions{0};
-
-  void AddEvictions(int64_t dropped) {
-    if (dropped > 0) evictions.fetch_add(dropped, std::memory_order_relaxed);
-  }
-};
 
 /// Persistent what-if cost cache: (statement fingerprint, configuration
 /// bitmask) -> per-statement estimated cost. Unlike the WhatIfEngine's
@@ -70,7 +55,7 @@ struct CostCacheTally {
 /// and every counter is a relaxed atomic — concurrent solves may share
 /// one cache. The cache's own hits()/misses()/evictions() then
 /// aggregate every sharer's traffic; a solve reads its own share from
-/// the CostCacheTally it threads through its probes.
+/// the ProbeTally it threads through its probes.
 class CostCache {
  public:
   /// `max_bytes` caps the cache's own footprint; <= 0 = unbounded.
@@ -94,7 +79,7 @@ class CostCache {
   /// ResourceTracker::ReleaseUpTo). `tally` (optional) is charged the
   /// dropped entries as evictions.
   bool EnsureValid(uint64_t token, ResourceTracker* tracker = nullptr,
-                   CostCacheTally* tally = nullptr);
+                   ProbeTally* tally = nullptr);
 
   /// Cached cost of (statement fingerprint, config mask), if present.
   /// Counts a hit or a miss.
@@ -112,7 +97,7 @@ class CostCache {
   /// entries this insert evicts to stay under max_bytes.
   bool Insert(uint64_t statement_fp, uint64_t config_mask, double cost,
               ResourceTracker* tracker = nullptr,
-              CostCacheTally* tally = nullptr);
+              ProbeTally* tally = nullptr);
 
   /// Cached cost of (statement fingerprint, config mask); on a miss
   /// `compute()` prices it and the result is inserted under Insert's
@@ -126,7 +111,7 @@ class CostCache {
   bool GetOrCompute(uint64_t statement_fp, uint64_t config_mask,
                     Compute&& compute, double* cost,
                     ResourceTracker* tracker = nullptr,
-                    CostCacheTally* tally = nullptr) {
+                    ProbeTally* tally = nullptr) {
     const Key key{statement_fp, config_mask};
     Shard& shard = ShardFor(key);
     std::unique_lock<std::mutex> lock(shard.mu);
@@ -176,7 +161,7 @@ class CostCache {
   /// "cost_cache.invalidations" gauge. The per-solve hit/miss/evict
   /// traffic is published as "cost_cache.hits" / "cost_cache.misses" /
   /// "cost_cache.evictions" counters by SolveStats::PublishTo (one
-  /// solve's CostCacheTally, so the registry accumulates exactly the
+  /// solve's ProbeTally, so the registry accumulates exactly the
   /// traffic it observed). No-op when `registry` is null.
   void PublishTo(MetricsRegistry* registry) const;
 
@@ -219,7 +204,7 @@ class CostCache {
   /// The dropped entries are also charged to `tally` (optional).
   /// Caller must not hold any shard lock.
   void EvictForSpace(int64_t needed, ResourceTracker* tracker,
-                     CostCacheTally* tally);
+                     ProbeTally* tally);
 
   const int64_t max_bytes_;
   std::atomic<size_t> sweep_cursor_{0};

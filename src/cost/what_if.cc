@@ -121,17 +121,26 @@ WhatIfEngine::WhatIfEngine(const CostModel* model,
   }
 }
 
-double WhatIfEngine::ShapeCost(const WorkloadShape& shape,
-                               const Configuration& config) const {
-  costings_.fetch_add(1, std::memory_order_relaxed);
+void WhatIfEngine::CountCostings(int64_t costed, ProbeTally* tally) const {
+  costings_.fetch_add(costed, std::memory_order_relaxed);
   if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-    sink->Add(1);
+    sink->Add(costed);
   }
+  if (tally != nullptr) {
+    tally->costings.fetch_add(costed, std::memory_order_relaxed);
+  }
+}
+
+double WhatIfEngine::ShapeCost(const WorkloadShape& shape,
+                               const Configuration& config,
+                               ProbeTally* tally) const {
+  CountCostings(1, tally);
   return model_->StatementCost(shape.representative, config);
 }
 
 double WhatIfEngine::ComputeSegmentCost(size_t segment,
-                                        const Configuration& config) const {
+                                        const Configuration& config,
+                                        ProbeTally* tally) const {
   Histogram* const latency_sink =
       metrics_segment_cost_us_.load(std::memory_order_relaxed);
   const auto start = latency_sink != nullptr
@@ -144,10 +153,7 @@ double WhatIfEngine::ComputeSegmentCost(size_t segment,
             model_->StatementCost(entry.representative, config);
     ++costed;
   }
-  costings_.fetch_add(costed, std::memory_order_relaxed);
-  if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-    sink->Add(costed);
-  }
+  CountCostings(costed, tally);
   if (latency_sink != nullptr) {
     latency_sink->Record(std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - start)
@@ -160,7 +166,7 @@ double WhatIfEngine::CachedSegmentCost(size_t segment,
                                        const Configuration& config,
                                        uint64_t config_mask, CostCache* cache,
                                        ResourceTracker* tracker,
-                                       CostCacheTally* tally) const {
+                                       ProbeTally* tally) const {
   double cost = 0.0;
   int64_t costed = 0;
   for (const ProfileEntry& entry : profiles_[segment]) {
@@ -182,17 +188,12 @@ double WhatIfEngine::CachedSegmentCost(size_t segment,
     }
     if (costed > 0) tally->misses.fetch_add(costed, std::memory_order_relaxed);
   }
-  if (costed > 0) {
-    costings_.fetch_add(costed, std::memory_order_relaxed);
-    if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-      sink->Add(costed);
-    }
-  }
+  if (costed > 0) CountCostings(costed, tally);
   return cost;
 }
 
-double WhatIfEngine::SegmentCost(size_t segment,
-                                 const Configuration& config) const {
+double WhatIfEngine::SegmentCost(size_t segment, const Configuration& config,
+                                 ProbeTally* tally) const {
   assert(segment < segments_.size());
   CacheShard& shard = ShardFor(segment, config);
   // The shard lock is held across the (pure) computation so each
@@ -209,17 +210,18 @@ double WhatIfEngine::SegmentCost(size_t segment,
     }
     return it->second;
   }
-  const double cost = ComputeSegmentCost(segment, config);
+  const double cost = ComputeSegmentCost(segment, config, tally);
   shard.memo.emplace(std::move(key), cost);
   return cost;
 }
 
 double WhatIfEngine::RangeCost(size_t begin, size_t end,
-                               const Configuration& config) const {
+                               const Configuration& config,
+                               ProbeTally* tally) const {
   assert(begin <= end && end <= segments_.size());
   double cost = 0.0;
   for (size_t s = begin; s < end; ++s) {
-    cost += SegmentCost(s, config);
+    cost += SegmentCost(s, config, tally);
   }
   return cost;
 }
@@ -257,7 +259,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     const CandidateSpace& candidates, ThreadPool* pool, Tracer* tracer,
     const Budget* budget, const ProgressFn* progress, Logger* logger,
     CostCache* cost_cache, ResourceTracker* tracker,
-    CostCacheTally* cache_tally) const {
+    ProbeTally* tally) const {
   const size_t n = segments_.size();
   const size_t m = candidates.size();
   CostMatrix matrix(n, m);
@@ -274,7 +276,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     uint64_t token = model_->Fingerprint();
     token ^= candidates.universe_fingerprint() * 0x9e3779b97f4a7c15ULL;
     if (token == 0) token = 1;  // 0 is CostCache's never-validated state.
-    cache->EnsureValid(token, tracker, cache_tally);
+    cache->EnsureValid(token, tracker, tally);
   }
   CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.start",
            LogField("segments", n), LogField("configs", m),
@@ -289,8 +291,8 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
         cache != nullptr
             ? CachedSegmentCost(segment, candidates[config],
                                 candidates.mask(config), cache, tracker,
-                                cache_tally)
-            : SegmentCost(segment, candidates[config]);
+                                tally)
+            : SegmentCost(segment, candidates[config], tally);
     if (!std::isfinite(cost)) bad_exec.Record(i);
     matrix.MutableExec(segment, config) = cost;
   };

@@ -179,16 +179,22 @@ class WhatIfEngine {
   /// what-if costing (it is one model probe, same as the profile
   /// entries behind SegmentCost). Not memoized — callers (dominance
   /// pruning) probe each (shape, config) pair once.
-  double ShapeCost(const WorkloadShape& shape,
-                   const Configuration& config) const;
+  ///
+  /// On every probe below, `tally` (optional) is charged the costings
+  /// this call ran the cost model for — a memo hit adds nothing — so
+  /// a caller's share stays exact while others probe the same engine.
+  double ShapeCost(const WorkloadShape& shape, const Configuration& config,
+                   ProbeTally* tally = nullptr) const;
 
   /// EXEC(S_i, config), memoized. Safe to call concurrently.
-  double SegmentCost(size_t segment, const Configuration& config) const;
+  double SegmentCost(size_t segment, const Configuration& config,
+                     ProbeTally* tally = nullptr) const;
 
   /// EXEC(S_begin ∪ ... ∪ S_{end-1}, config) — the merged-segment cost
   /// the sequential-merging heuristic needs. Not memoized (sums the
   /// memoized per-segment costs).
-  double RangeCost(size_t begin, size_t end, const Configuration& config) const;
+  double RangeCost(size_t begin, size_t end, const Configuration& config,
+                   ProbeTally* tally = nullptr) const;
 
   /// TRANS(from, to), forwarded to the cost model.
   double TransitionCost(const Configuration& from,
@@ -244,15 +250,16 @@ class WhatIfEngine {
   /// keying unsound). `tracker` (optional) charges cache growth to
   /// MemComponent::kCostCache; a refused reservation skips the insert
   /// and trips the solve's memory limit (see cost/cost_cache.h).
-  /// `cache_tally` (optional) receives this fill's cache hits, misses
-  /// and evictions, exact even while other fills share the cache.
-  /// Cached and uncached fills produce bit-identical matrices.
+  /// `tally` (optional) receives this fill's costings and cache hits,
+  /// misses and evictions, exact even while other callers share the
+  /// engine or the cache. Cached and uncached fills produce
+  /// bit-identical matrices.
   Result<CostMatrix> PrecomputeCostMatrix(
       const CandidateSpace& candidates, ThreadPool* pool = nullptr,
       Tracer* tracer = nullptr, const Budget* budget = nullptr,
       const ProgressFn* progress = nullptr, Logger* logger = nullptr,
       CostCache* cost_cache = nullptr, ResourceTracker* tracker = nullptr,
-      CostCacheTally* cache_tally = nullptr) const;
+      ProbeTally* tally = nullptr) const;
 
   /// Mirrors the engine's activity into `registry` — counters
   /// "whatif.costings" / "whatif.cache_hits" and the
@@ -265,8 +272,9 @@ class WhatIfEngine {
   /// compiled out.
   void SetMetrics(MetricsRegistry* registry) const;
 
-  /// Number of what-if statement costings performed so far (for the
-  /// optimizer-cost experiments: the dominant work unit).
+  /// Number of what-if statement costings performed so far, by every
+  /// caller (for the optimizer-cost experiments: the dominant work
+  /// unit). One caller's own share is its ProbeTally::costings.
   int64_t costings() const {
     return costings_.load(std::memory_order_relaxed);
   }
@@ -308,19 +316,23 @@ class WhatIfEngine {
     return shards_[CacheKeyHash()(CacheKey{segment, config}) % kCacheShards];
   }
 
-  /// The uncached cost computation (pure; reads only immutable state).
-  double ComputeSegmentCost(size_t segment, const Configuration& config) const;
+  /// Adds `costed` cost-model probes to costings(), the metric sink
+  /// and `tally` (optional).
+  void CountCostings(int64_t costed, ProbeTally* tally) const;
+
+  /// The uncached cost computation (pure apart from the counters).
+  double ComputeSegmentCost(size_t segment, const Configuration& config,
+                            ProbeTally* tally) const;
 
   /// EXEC(S_segment, config) assembled from the persistent cache:
   /// per profile entry, look up (entry.fingerprint, config_mask), cost
   /// and insert on miss. Summation runs in profile order — the same
   /// order as ComputeSegmentCost — so the result is bit-identical to
-  /// the uncached path. The cell's hits and misses are added to
-  /// `tally` (optional) in one step each.
+  /// the uncached path. The cell's hits, misses and costings are added
+  /// to `tally` (optional) in one step each.
   double CachedSegmentCost(size_t segment, const Configuration& config,
                            uint64_t config_mask, CostCache* cache,
-                           ResourceTracker* tracker,
-                           CostCacheTally* tally) const;
+                           ResourceTracker* tracker, ProbeTally* tally) const;
 
   const CostModel* model_;
   std::vector<Segment> segments_;

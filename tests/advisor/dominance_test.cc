@@ -7,7 +7,6 @@
 #include "common/budget.h"
 #include "common/resource_tracker.h"
 #include "common/thread_pool.h"
-#include "core/k_aware_graph.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -117,12 +116,12 @@ TEST(DominanceTest, PrunedSpaceKeepsTheOptimum) {
     DesignProblem pruned = problem;
     pruned.candidates = problem.candidates.Subset(pruning.survivors);
     for (int64_t k = 0; k <= 3; ++k) {
-      auto full = SolveKAware(problem, k);
-      auto sub = SolveKAware(pruned, k);
+      auto full = testing_util::SolveBy(problem, OptimizerMethod::kOptimal, k);
+      auto sub = testing_util::SolveBy(pruned, OptimizerMethod::kOptimal, k);
       ASSERT_TRUE(full.ok());
       ASSERT_TRUE(sub.ok());
-      EXPECT_NEAR(sub->total_cost, full->total_cost,
-                  1e-9 * full->total_cost)
+      EXPECT_NEAR(sub->schedule.total_cost, full->schedule.total_cost,
+                  1e-9 * full->schedule.total_cost)
           << "seed=" << seed << " k=" << k;
     }
   }

@@ -4,13 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/k_aware_graph.h"
 #include "test_util.h"
 
 namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveBy;
 
 GreedySeqOptions PaperOptions(const Schema& schema,
                               int32_t max_per_config = 1) {
@@ -20,10 +20,22 @@ GreedySeqOptions PaperOptions(const Schema& schema,
   return options;
 }
 
+// GREEDY-SEQ through the single entry point, serially.
+Result<SolveResult> SolveGreedy(const DesignProblem& problem,
+                                std::optional<int64_t> k,
+                                const GreedySeqOptions& greedy) {
+  SolveOptions options;
+  options.method = OptimizerMethod::kGreedySeq;
+  options.k = k;
+  options.greedy = greedy;
+  options.num_threads = 1;
+  return Solve(problem, options);
+}
+
 TEST(GreedySeqTest, ProducesFeasibleSchedule) {
   auto fixture = MakeRandomProblem(70, 8, 20);
   auto result =
-      SolveGreedySeq(fixture->problem, 2, PaperOptions(fixture->schema));
+      SolveGreedy(fixture->problem, 2, PaperOptions(fixture->schema));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->schedule.configs.size(), 8u);
   EXPECT_LE(CountChanges(fixture->problem, result->schedule.configs), 2);
@@ -31,7 +43,7 @@ TEST(GreedySeqTest, ProducesFeasibleSchedule) {
 
 TEST(GreedySeqTest, ReducedCandidateSetIsSmallAndContainsUsedConfigs) {
   auto fixture = MakeRandomProblem(71, 6, 20, /*max_indexes_per_config=*/2);
-  auto result = SolveGreedySeq(fixture->problem, 3,
+  auto result = SolveGreedy(fixture->problem, 3,
                                PaperOptions(fixture->schema, 2));
   ASSERT_TRUE(result.ok());
   // At most O(m n) + empty + initial candidates.
@@ -46,12 +58,12 @@ TEST(GreedySeqTest, ReducedCandidateSetIsSmallAndContainsUsedConfigs) {
 TEST(GreedySeqTest, NeverBeatsOptimalOnFullSpace) {
   for (uint64_t seed = 72; seed < 75; ++seed) {
     auto fixture = MakeRandomProblem(seed, 5, 12);
-    auto optimal = SolveKAware(fixture->problem, 2);
+    auto optimal = SolveBy(fixture->problem, OptimizerMethod::kOptimal, 2);
     auto greedy =
-        SolveGreedySeq(fixture->problem, 2, PaperOptions(fixture->schema));
+        SolveGreedy(fixture->problem, 2, PaperOptions(fixture->schema));
     ASSERT_TRUE(optimal.ok());
     ASSERT_TRUE(greedy.ok());
-    EXPECT_GE(greedy->schedule.total_cost, optimal->total_cost - 1e-9)
+    EXPECT_GE(greedy->schedule.total_cost, optimal->schedule.total_cost - 1e-9)
         << "seed " << seed;
   }
 }
@@ -61,17 +73,17 @@ TEST(GreedySeqTest, OftenMatchesOptimalOnSingleIndexSpace) {
   // equals the true per-segment best, so the reduced space usually
   // retains the optimum. Verify it happens on at least one fixture.
   auto fixture = MakeRandomProblem(76, 6, 30);
-  auto optimal = SolveKAware(fixture->problem, 2);
+  auto optimal = SolveBy(fixture->problem, OptimizerMethod::kOptimal, 2);
   auto greedy =
-      SolveGreedySeq(fixture->problem, 2, PaperOptions(fixture->schema));
+      SolveGreedy(fixture->problem, 2, PaperOptions(fixture->schema));
   ASSERT_TRUE(optimal.ok());
   ASSERT_TRUE(greedy.ok());
-  EXPECT_NEAR(greedy->schedule.total_cost, optimal->total_cost, 1e-6);
+  EXPECT_NEAR(greedy->schedule.total_cost, optimal->schedule.total_cost, 1e-6);
 }
 
 TEST(GreedySeqTest, UnconstrainedVariant) {
   auto fixture = MakeRandomProblem(77, 5, 15);
-  auto result = SolveGreedySeq(fixture->problem, std::nullopt,
+  auto result = SolveGreedy(fixture->problem, std::nullopt,
                                PaperOptions(fixture->schema));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->schedule.configs.size(), 5u);
@@ -83,7 +95,7 @@ TEST(GreedySeqTest, RespectsSpaceBound) {
   fixture->problem.space_bound_pages =
       IndexDef({0}).SizePages(100'000) + 1;
   fixture->problem.candidates = {Configuration::Empty()};
-  auto result = SolveGreedySeq(fixture->problem, 2,
+  auto result = SolveGreedy(fixture->problem, 2,
                                PaperOptions(fixture->schema, 2));
   ASSERT_TRUE(result.ok());
   const int64_t rows = fixture->model->num_rows();
@@ -95,7 +107,7 @@ TEST(GreedySeqTest, RespectsSpaceBound) {
 TEST(GreedySeqTest, RejectsEmptyCandidateIndexes) {
   auto fixture = MakeRandomProblem(79, 3, 10);
   GreedySeqOptions options;
-  EXPECT_EQ(SolveGreedySeq(fixture->problem, 1, options).status().code(),
+  EXPECT_EQ(SolveGreedy(fixture->problem, 1, options).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -112,7 +124,7 @@ TEST(GreedySeqTest, GrowsMultiIndexConfigurationsWhenAllowed) {
   WhatIfEngine what_if(fixture->model.get(), fixture->statements,
                        fixture->segments);
   fixture->problem.what_if = &what_if;
-  auto result = SolveGreedySeq(fixture->problem, 1,
+  auto result = SolveGreedy(fixture->problem, 1,
                                PaperOptions(fixture->schema, 4));
   ASSERT_TRUE(result.ok());
   bool saw_multi_index = false;

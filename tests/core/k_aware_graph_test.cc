@@ -5,13 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveBy;
+
+constexpr OptimizerMethod kOptimal = OptimizerMethod::kOptimal;
 
 TEST(KAwareGraphTest, GraphSizeFormulas) {
   // Figure 2's instance: n = 3 stages, 2 configurations, k = 2.
@@ -52,22 +54,24 @@ TEST(KAwareGraphTest, HugeKSolvesViaLayerClamping) {
   // layer count instead of allocating (or overflowing) a k+1-layer
   // table. INT64_MAX must behave exactly like k = n-1.
   auto fixture = MakeRandomProblem(48, 6, 15);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveBy(fixture->problem, kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
-  auto huge = SolveKAware(fixture->problem, std::numeric_limits<int64_t>::max());
+  auto huge =
+      SolveBy(fixture->problem, kOptimal, std::numeric_limits<int64_t>::max());
   ASSERT_TRUE(huge.ok()) << huge.status().ToString();
-  EXPECT_NEAR(huge->total_cost, unconstrained->total_cost, 1e-6);
-  auto exact = SolveKAware(fixture->problem, 5);
+  EXPECT_NEAR(huge->schedule.total_cost, unconstrained->schedule.total_cost,
+              1e-6);
+  auto exact = SolveBy(fixture->problem, kOptimal, 5);
   ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(huge->configs, exact->configs);
+  EXPECT_EQ(huge->schedule.configs, exact->schedule.configs);
 }
 
 TEST(KAwareGraphTest, RespectsChangeBound) {
   auto fixture = MakeRandomProblem(20, 6, 15);
   for (int64_t k = 0; k <= 4; ++k) {
-    auto schedule = SolveKAware(fixture->problem, k);
-    ASSERT_TRUE(schedule.ok()) << "k=" << k;
-    EXPECT_LE(CountChanges(fixture->problem, schedule->configs), k);
+    auto solved = SolveBy(fixture->problem, kOptimal, k);
+    ASSERT_TRUE(solved.ok()) << "k=" << k;
+    EXPECT_LE(CountChanges(fixture->problem, solved->schedule.configs), k);
   }
 }
 
@@ -76,11 +80,11 @@ TEST(KAwareGraphTest, MatchesBruteForceForAllK) {
     auto fixture = MakeRandomProblem(seed, /*num_segments=*/4,
                                      /*block_size=*/10);
     for (int64_t k = 0; k <= 4; ++k) {
-      auto graph = SolveKAware(fixture->problem, k);
+      auto graph = SolveBy(fixture->problem, kOptimal, k);
       auto brute = SolveBruteForce(fixture->problem, k);
       ASSERT_TRUE(graph.ok());
       ASSERT_TRUE(brute.ok());
-      EXPECT_NEAR(graph->total_cost, brute->total_cost, 1e-6)
+      EXPECT_NEAR(graph->schedule.total_cost, brute->total_cost, 1e-6)
           << "seed " << seed << " k " << k;
     }
   }
@@ -90,35 +94,36 @@ TEST(KAwareGraphTest, CostIsMonotoneNonIncreasingInK) {
   auto fixture = MakeRandomProblem(40, 8, 20);
   double previous = std::numeric_limits<double>::infinity();
   for (int64_t k = 0; k <= 8; ++k) {
-    auto schedule = SolveKAware(fixture->problem, k);
-    ASSERT_TRUE(schedule.ok());
-    EXPECT_LE(schedule->total_cost, previous + 1e-9);
-    previous = schedule->total_cost;
+    auto solved = SolveBy(fixture->problem, kOptimal, k);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_LE(solved->schedule.total_cost, previous + 1e-9);
+    previous = solved->schedule.total_cost;
   }
 }
 
 TEST(KAwareGraphTest, LargeKEqualsUnconstrainedOptimum) {
   auto fixture = MakeRandomProblem(41, 6, 20);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveBy(fixture->problem, kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   // k = n-1 can express any schedule of n segments.
-  auto schedule = SolveKAware(fixture->problem, 5);
-  ASSERT_TRUE(schedule.ok());
-  EXPECT_NEAR(schedule->total_cost, unconstrained->total_cost, 1e-6);
+  auto solved = SolveBy(fixture->problem, kOptimal, 5);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_NEAR(solved->schedule.total_cost,
+              unconstrained->schedule.total_cost, 1e-6);
 }
 
 TEST(KAwareGraphTest, KZeroPicksBestStaticConfiguration) {
   auto fixture = MakeRandomProblem(42, 5, 15);
-  auto schedule = SolveKAware(fixture->problem, 0);
-  ASSERT_TRUE(schedule.ok());
+  auto solved = SolveBy(fixture->problem, kOptimal, 0);
+  ASSERT_TRUE(solved.ok());
   // All segments share one configuration...
-  for (const Configuration& config : schedule->configs) {
-    EXPECT_EQ(config, schedule->configs.front());
+  for (const Configuration& config : solved->schedule.configs) {
+    EXPECT_EQ(config, solved->schedule.configs.front());
   }
   // ...and it beats (or ties) every other static choice.
   for (const Configuration& config : fixture->problem.candidates) {
     const std::vector<Configuration> static_schedule(5, config);
-    EXPECT_LE(schedule->total_cost,
+    EXPECT_LE(solved->schedule.total_cost,
               EvaluateScheduleCost(fixture->problem, static_schedule) + 1e-9);
   }
 }
@@ -126,54 +131,56 @@ TEST(KAwareGraphTest, KZeroPicksBestStaticConfiguration) {
 TEST(KAwareGraphTest, CountInitialChangePolicyRestrictsFirstStage) {
   auto fixture = MakeRandomProblem(43, 5, 15);
   fixture->problem.count_initial_change = true;
-  auto schedule = SolveKAware(fixture->problem, 0);
-  ASSERT_TRUE(schedule.ok());
+  auto solved = SolveBy(fixture->problem, kOptimal, 0);
+  ASSERT_TRUE(solved.ok());
   // With k = 0 and the initial change counted, the schedule must stay
   // at C0 = {} throughout.
-  for (const Configuration& config : schedule->configs) {
+  for (const Configuration& config : solved->schedule.configs) {
     EXPECT_TRUE(config.empty());
   }
 }
 
 TEST(KAwareGraphTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(44, 3, 10);
-  EXPECT_EQ(SolveKAware(fixture->problem, -1).status().code(),
+  EXPECT_EQ(SolveBy(fixture->problem, kOptimal, -1).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(KAwareGraphTest, ReportedCostMatchesEvaluationAndStats) {
   auto fixture = MakeRandomProblem(45, 6, 15);
-  SolveStats stats;
-  auto schedule = SolveKAware(fixture->problem, 2, &stats);
-  ASSERT_TRUE(schedule.ok());
-  EXPECT_NEAR(schedule->total_cost,
-              EvaluateScheduleCost(fixture->problem, schedule->configs),
-              1e-6);
+  auto solved = SolveBy(fixture->problem, kOptimal, 2);
+  ASSERT_TRUE(solved.ok());
+  const SolveStats& stats = solved->stats;
+  EXPECT_NEAR(
+      solved->schedule.total_cost,
+      EvaluateScheduleCost(fixture->problem, solved->schedule.configs), 1e-6);
   EXPECT_GT(stats.nodes_expanded, 0);
   EXPECT_GT(stats.relaxations, 0);
 }
 
 TEST(KAwareGraphTest, RelaxationsGrowWithK) {
   auto fixture = MakeRandomProblem(46, 10, 15);
-  SolveStats stats_small;
-  SolveStats stats_large;
-  ASSERT_TRUE(SolveKAware(fixture->problem, 1, &stats_small).ok());
-  ASSERT_TRUE(SolveKAware(fixture->problem, 7, &stats_large).ok());
-  EXPECT_GT(stats_large.relaxations, 2 * stats_small.relaxations);
+  auto small = SolveBy(fixture->problem, kOptimal, 1);
+  auto large = SolveBy(fixture->problem, kOptimal, 7);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  EXPECT_GT(large->stats.relaxations, 2 * small->stats.relaxations);
 }
 
 TEST(KAwareGraphTest, ForcedFinalConfigurationIsHonored) {
   auto fixture = MakeRandomProblem(47, 5, 15);
   fixture->problem.final_config = Configuration::Empty();
-  auto with_final = SolveKAware(fixture->problem, 2);
+  auto with_final = SolveBy(fixture->problem, kOptimal, 2);
   ASSERT_TRUE(with_final.ok());
-  EXPECT_NEAR(with_final->total_cost,
-              EvaluateScheduleCost(fixture->problem, with_final->configs),
-              1e-6);
+  EXPECT_NEAR(
+      with_final->schedule.total_cost,
+      EvaluateScheduleCost(fixture->problem, with_final->schedule.configs),
+      1e-6);
   fixture->problem.final_config.reset();
-  auto without_final = SolveKAware(fixture->problem, 2);
+  auto without_final = SolveBy(fixture->problem, kOptimal, 2);
   ASSERT_TRUE(without_final.ok());
-  EXPECT_LE(without_final->total_cost, with_final->total_cost + 1e-9);
+  EXPECT_LE(without_final->schedule.total_cost,
+            with_final->schedule.total_cost + 1e-9);
 }
 
 }  // namespace

@@ -5,14 +5,27 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
-#include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveBy;
+
+constexpr OptimizerMethod kOptimal = OptimizerMethod::kOptimal;
+constexpr OptimizerMethod kRanking = OptimizerMethod::kRanking;
+
+// Ranking through the single entry point with a custom path cap.
+Result<SolveResult> SolveRanked(const DesignProblem& problem, int64_t k,
+                                int64_t max_paths) {
+  SolveOptions options;
+  options.method = kRanking;
+  options.k = k;
+  options.ranking_max_paths = max_paths;
+  options.num_threads = 1;
+  return Solve(problem, options);
+}
 
 TEST(PathRankerTest, FirstPathIsTheShortest) {
   auto fixture = MakeRandomProblem(90, 4, 12);
@@ -21,9 +34,9 @@ TEST(PathRankerTest, FirstPathIsTheShortest) {
   PathRanker ranker(*graph);
   auto first = ranker.Next();
   ASSERT_TRUE(first.has_value());
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveBy(fixture->problem, kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
-  EXPECT_NEAR(first->cost, unconstrained->total_cost, 1e-6);
+  EXPECT_NEAR(first->cost, unconstrained->schedule.total_cost, 1e-6);
 }
 
 TEST(PathRankerTest, PathsComeInNonDecreasingCostOrder) {
@@ -70,49 +83,50 @@ TEST(SolveByRankingTest, MatchesKAwareOptimum) {
   for (uint64_t seed = 93; seed < 97; ++seed) {
     auto fixture = MakeRandomProblem(seed, 4, 10);
     for (int64_t k = 0; k <= 3; ++k) {
-      auto ranked = SolveByRanking(fixture->problem, k);
-      auto optimal = SolveKAware(fixture->problem, k);
+      auto ranked = SolveBy(fixture->problem, kRanking, k);
+      auto optimal = SolveBy(fixture->problem, kOptimal, k);
       ASSERT_TRUE(ranked.ok()) << "seed " << seed << " k " << k;
       ASSERT_TRUE(optimal.ok());
-      EXPECT_NEAR(ranked->total_cost, optimal->total_cost, 1e-6)
+      EXPECT_NEAR(ranked->schedule.total_cost, optimal->schedule.total_cost,
+                  1e-6)
           << "seed " << seed << " k " << k;
-      EXPECT_LE(CountChanges(fixture->problem, ranked->configs), k);
+      EXPECT_LE(CountChanges(fixture->problem, ranked->schedule.configs), k);
     }
   }
 }
 
 TEST(SolveByRankingTest, FirstPathWinsWhenUnconstrainedFitsK) {
   auto fixture = MakeRandomProblem(98, 5, 12);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveBy(fixture->problem, kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
-  const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
-  SolveStats stats;
-  auto ranked = SolveByRanking(fixture->problem, l, 1'000'000, &stats);
+  const int64_t l =
+      CountChanges(fixture->problem, unconstrained->schedule.configs);
+  auto ranked = SolveBy(fixture->problem, kRanking, l);
   ASSERT_TRUE(ranked.ok());
-  EXPECT_EQ(stats.paths_enumerated, 1);
+  EXPECT_EQ(ranked->stats.paths_enumerated, 1);
 }
 
 TEST(SolveByRankingTest, SmallKRanksMorePaths) {
   auto fixture = MakeRandomProblem(99, 5, 12);
-  SolveStats loose;
-  SolveStats tight;
-  ASSERT_TRUE(SolveByRanking(fixture->problem, 4, 1'000'000, &loose).ok());
-  ASSERT_TRUE(SolveByRanking(fixture->problem, 0, 1'000'000, &tight).ok());
-  EXPECT_GE(tight.paths_enumerated, loose.paths_enumerated);
+  auto loose = SolveBy(fixture->problem, kRanking, 4);
+  auto tight = SolveBy(fixture->problem, kRanking, 0);
+  ASSERT_TRUE(loose.ok());
+  ASSERT_TRUE(tight.ok());
+  EXPECT_GE(tight->stats.paths_enumerated, loose->stats.paths_enumerated);
 }
 
 TEST(SolveByRankingTest, MaxPathsGuardDegradesToStaticBestEffort) {
   auto fixture = MakeRandomProblem(100, 5, 12);
-  SolveStats stats;
-  auto ranked =
-      SolveByRanking(fixture->problem, 0, /*max_paths=*/1, &stats);
+  auto ranked = SolveRanked(fixture->problem, 0, /*max_paths=*/1);
   // k=0 is always satisfiable here (count_initial_change is off), so
   // even when the one ranked path misses the bound, the static
   // fallback must answer — never ResourceExhausted.
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-  EXPECT_LE(CountChanges(fixture->problem, ranked->configs), 0);
-  EXPECT_NEAR(ranked->total_cost,
-              EvaluateScheduleCost(fixture->problem, ranked->configs), 1e-9);
+  const SolveStats& stats = ranked->stats;
+  EXPECT_LE(CountChanges(fixture->problem, ranked->schedule.configs), 0);
+  EXPECT_NEAR(ranked->schedule.total_cost,
+              EvaluateScheduleCost(fixture->problem, ranked->schedule.configs),
+              1e-9);
   if (stats.best_effort) {
     // The guard fired: the answer is the static fallback, flagged as
     // best-effort but NOT as a deadline hit (no budget was given).
@@ -126,7 +140,7 @@ TEST(SolveByRankingTest, MaxPathsGuardDegradesToStaticBestEffort) {
 
 TEST(SolveByRankingTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(101, 3, 10);
-  EXPECT_EQ(SolveByRanking(fixture->problem, -1).status().code(),
+  EXPECT_EQ(SolveBy(fixture->problem, kRanking, -1).status().code(),
             StatusCode::kInvalidArgument);
 }
 

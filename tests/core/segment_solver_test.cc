@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
-#include "core/k_aware_graph.h"
 #include "core/solver.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -12,6 +10,17 @@ namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+
+// The optimal method through Solve() with an explicit chunk count
+// (0 and 1 run the monolithic DP, >= 2 the segmented one).
+Result<SolveResult> SolveChunked(const DesignProblem& problem, int64_t k,
+                                 int num_chunks, int num_threads = 1) {
+  SolveOptions options;
+  options.k = k;
+  options.num_threads = num_threads;
+  options.segmented.num_chunks = num_chunks;
+  return Solve(problem, options);
+}
 
 TEST(SegmentSolveOptionsTest, Validate) {
   SegmentSolveOptions options;
@@ -70,38 +79,34 @@ TEST(SplitStagesBalancedTest, BalancesByStatementWeight) {
 TEST(SegmentSolverTest, MatchesMonolithicCostForAllChunkCounts) {
   auto fixture = MakeRandomProblem(7, /*num_segments=*/24, /*block_size=*/10);
   for (int64_t k = 0; k <= 4; ++k) {
-    auto mono = SolveKAware(fixture->problem, k);
+    auto mono = SolveChunked(fixture->problem, k, 1);
     ASSERT_TRUE(mono.ok()) << mono.status().ToString();
-    for (size_t chunks : {2u, 3u, 5u, 8u, 24u}) {
-      SolveStats stats;
-      auto seg = SolveKAwareSegmented(fixture->problem, k, chunks, &stats);
+    const double mono_cost = mono->schedule.total_cost;
+    for (int chunks : {2, 3, 5, 8, 24}) {
+      auto seg = SolveChunked(fixture->problem, k, chunks);
       ASSERT_TRUE(seg.ok()) << "k=" << k << " chunks=" << chunks << ": "
                             << seg.status().ToString();
-      EXPECT_NEAR(seg->total_cost, mono->total_cost, 1e-9 * mono->total_cost)
+      EXPECT_NEAR(seg->schedule.total_cost, mono_cost, 1e-9 * mono_cost)
           << "k=" << k << " chunks=" << chunks;
-      EXPECT_LE(CountChanges(fixture->problem, seg->configs), k);
-      EXPECT_EQ(stats.segment_chunks, static_cast<int64_t>(chunks));
-      EXPECT_GT(stats.stitch_window, 0);
+      EXPECT_LE(CountChanges(fixture->problem, seg->schedule.configs), k);
+      EXPECT_EQ(seg->stats.segment_chunks, chunks);
+      EXPECT_GT(seg->stats.stitch_window, 0);
     }
   }
 }
 
 TEST(SegmentSolverTest, ScheduleIdenticalForAnyThreadCount) {
   auto fixture = MakeRandomProblem(11, /*num_segments=*/20, /*block_size=*/8);
-  SolveStats serial_stats;
-  auto serial =
-      SolveKAwareSegmented(fixture->problem, 3, 4, &serial_stats);
+  auto serial = SolveChunked(fixture->problem, 3, 4);
   ASSERT_TRUE(serial.ok());
   for (int threads : {2, 4}) {
-    ThreadPool pool(threads);
-    SolveStats stats;
-    auto parallel =
-        SolveKAwareSegmented(fixture->problem, 3, 4, &stats, &pool);
+    auto parallel = SolveChunked(fixture->problem, 3, 4, threads);
     ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->configs, serial->configs) << threads << " threads";
-    EXPECT_EQ(parallel->total_cost, serial->total_cost);
-    EXPECT_EQ(stats.relaxations, serial_stats.relaxations);
-    EXPECT_EQ(stats.nodes_expanded, serial_stats.nodes_expanded);
+    EXPECT_EQ(parallel->schedule.configs, serial->schedule.configs)
+        << threads << " threads";
+    EXPECT_EQ(parallel->schedule.total_cost, serial->schedule.total_cost);
+    EXPECT_EQ(parallel->stats.relaxations, serial->stats.relaxations);
+    EXPECT_EQ(parallel->stats.nodes_expanded, serial->stats.nodes_expanded);
   }
 }
 
@@ -110,31 +115,35 @@ TEST(SegmentSolverTest, HonorsFinalConfigAndInitialChangePolicy) {
   fixture->problem.final_config = Configuration::Empty();
   fixture->problem.count_initial_change = true;
   for (int64_t k : {0, 1, 3}) {
-    auto mono = SolveKAware(fixture->problem, k);
+    auto mono = SolveChunked(fixture->problem, k, 1);
     ASSERT_TRUE(mono.ok()) << mono.status().ToString();
-    auto seg = SolveKAwareSegmented(fixture->problem, k, 4);
+    auto seg = SolveChunked(fixture->problem, k, 4);
     ASSERT_TRUE(seg.ok()) << seg.status().ToString();
-    EXPECT_NEAR(seg->total_cost, mono->total_cost,
-                1e-9 * (1.0 + mono->total_cost))
+    EXPECT_NEAR(seg->schedule.total_cost, mono->schedule.total_cost,
+                1e-9 * (1.0 + mono->schedule.total_cost))
         << "k=" << k;
-    EXPECT_LE(CountChanges(fixture->problem, seg->configs), k);
+    EXPECT_LE(CountChanges(fixture->problem, seg->schedule.configs), k);
   }
 }
 
 TEST(SegmentSolverTest, DegenerateChunkCountsDelegateToMonolithic) {
   auto fixture = MakeRandomProblem(17, /*num_segments=*/6, /*block_size=*/10);
-  auto mono = SolveKAware(fixture->problem, 2);
+  SolveOptions options;
+  options.k = 2;
+  options.num_threads = 1;
+  auto mono = Solve(fixture->problem, options);
   ASSERT_TRUE(mono.ok());
-  for (size_t chunks : {0u, 1u}) {
-    auto seg = SolveKAwareSegmented(fixture->problem, 2, chunks);
+  for (int chunks : {0, 1}) {
+    auto seg = SolveChunked(fixture->problem, 2, chunks);
     ASSERT_TRUE(seg.ok());
-    EXPECT_EQ(seg->configs, mono->configs);
+    EXPECT_EQ(seg->schedule.configs, mono->schedule.configs);
+    EXPECT_EQ(seg->stats.segment_chunks, 0);
   }
 }
 
 TEST(SegmentSolverTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(19, /*num_segments=*/6, /*block_size=*/10);
-  auto seg = SolveKAwareSegmented(fixture->problem, -1, 2);
+  auto seg = SolveChunked(fixture->problem, -1, 2);
   EXPECT_FALSE(seg.ok());
   EXPECT_EQ(seg.status().code(), StatusCode::kInvalidArgument);
 }

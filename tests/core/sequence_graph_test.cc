@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -62,16 +61,18 @@ TEST_F(SequenceGraphTest, ShortestPathMatchesDpOptimizer) {
   auto graph = SequenceGraph::Build(fixture_->problem);
   ASSERT_TRUE(graph.ok());
   const DagShortestPaths paths = ComputeShortestPaths(*graph);
-  auto schedule = SolveUnconstrained(fixture_->problem);
-  ASSERT_TRUE(schedule.ok());
-  EXPECT_NEAR(paths.dist[static_cast<size_t>(graph->destination())],
-              schedule->total_cost, 1e-6);
+  auto solved = testing_util::SolveBy(fixture_->problem,
+                                      OptimizerMethod::kOptimal, std::nullopt);
+  ASSERT_TRUE(solved.ok());
+  const double optimum = solved->schedule.total_cost;
+  EXPECT_NEAR(paths.dist[static_cast<size_t>(graph->destination())], optimum,
+              1e-6);
 
   const auto path = ExtractPath(*graph, paths, graph->destination());
   ASSERT_EQ(path.size(), 5u);  // source + 3 stages + destination.
   // Both are optimal; tie-breaking may differ, so compare by cost.
   EXPECT_NEAR(EvaluateScheduleCost(fixture_->problem, graph->PathConfigs(path)),
-              schedule->total_cost, 1e-6);
+              optimum, 1e-6);
 }
 
 TEST_F(SequenceGraphTest, PathWeightEqualsScheduleCost) {

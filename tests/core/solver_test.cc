@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 #include "core/validator.h"
 #include "test_util.h"
 #include "workload/standard_workloads.h"
@@ -69,21 +67,13 @@ TEST(SolverTest, NulloptKSolvesUnconstrained) {
     options.method = method;
     auto result = Solve(fixture->problem, options);
     ASSERT_TRUE(result.ok()) << OptimizerMethodToString(method);
-    auto reference = SolveUnconstrained(fixture->problem);
+    auto reference = testing_util::SolveBy(
+        fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
     ASSERT_TRUE(reference.ok());
-    EXPECT_NEAR(result->schedule.total_cost, reference->total_cost, 1e-9)
+    EXPECT_NEAR(result->schedule.total_cost, reference->schedule.total_cost,
+                1e-9)
         << OptimizerMethodToString(method);
   }
-}
-
-TEST(SolverTest, OptimalMatchesDirectKAware) {
-  auto fixture = MakeRandomProblem(204, 8, 12);
-  auto unified = Solve(fixture->problem, BaseOptions(OptimizerMethod::kOptimal, 3));
-  ASSERT_TRUE(unified.ok());
-  auto direct = SolveKAware(fixture->problem, 3);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(unified->schedule.configs, direct->configs);
-  EXPECT_EQ(unified->schedule.total_cost, direct->total_cost);
 }
 
 TEST(SolverTest, GreedySeqReportsReducedCandidates) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -14,7 +13,9 @@ class ValidatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fixture_ = MakeRandomProblem(130, 4, 10);
-    schedule_ = SolveUnconstrained(fixture_->problem).value();
+    schedule_ = testing_util::SolveBy(fixture_->problem,
+                                      OptimizerMethod::kOptimal, std::nullopt)
+                    ->schedule;
   }
   std::unique_ptr<testing_util::ProblemFixture> fixture_;
   DesignSchedule schedule_;

@@ -63,7 +63,7 @@ TEST(CostCacheTest, GetOrComputePricesEachKeyOnceUnderContention) {
   constexpr int kThreads = 8;
   constexpr uint64_t kKeys = 64;
   std::atomic<int64_t> computed{0};
-  CostCacheTally tally;
+  ProbeTally tally;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
@@ -92,7 +92,7 @@ TEST(CostCacheTest, GetOrComputePricesEachKeyOnceUnderContention) {
 TEST(CostCacheTest, TallyCountsTheEvictionsItsCallerCaused) {
   CostCache cache(4 * CostCache::kEntryBytes);
   cache.EnsureValid(1);
-  CostCacheTally filler;
+  ProbeTally filler;
   for (uint64_t i = 0; i < 64; ++i) {
     cache.Insert(i * 2654435761u + 1, i + 1, 1.0, nullptr, &filler);
   }
@@ -101,7 +101,7 @@ TEST(CostCacheTest, TallyCountsTheEvictionsItsCallerCaused) {
   // caller only.
   const int64_t before = cache.evictions();
   const int64_t resident = cache.entries();
-  CostCacheTally validator;
+  ProbeTally validator;
   EXPECT_TRUE(cache.EnsureValid(2, nullptr, &validator));
   EXPECT_EQ(validator.evictions.load(), resident);
   EXPECT_EQ(cache.evictions() - before, resident);

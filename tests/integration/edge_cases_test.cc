@@ -7,9 +7,7 @@
 #include "common/stopwatch.h"
 #include "core/advisor.h"
 #include "core/design_merging.h"
-#include "core/k_aware_graph.h"
 #include "core/path_ranking.h"
-#include "core/unconstrained_optimizer.h"
 #include "engine/database.h"
 #include "test_util.h"
 #include "workload/standard_workloads.h"
@@ -19,6 +17,7 @@ namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveBy;
 
 TEST(StopwatchTest, ElapsedIsMonotoneAndResets) {
   Stopwatch watch;
@@ -106,23 +105,28 @@ TEST(BTreeEdgeCases, EraseEverythingThenReuse) {
 
 TEST(OptimizerEdgeCases, SingleSegmentProblemAllSolversAgree) {
   auto fixture = MakeRandomProblem(140, 1, 25);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
-  auto k0 = SolveKAware(fixture->problem, 0);
-  auto ranked = SolveByRanking(fixture->problem, 0);
+  auto unconstrained =
+      SolveBy(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
+  auto k0 = SolveBy(fixture->problem, OptimizerMethod::kOptimal, 0);
+  auto ranked = SolveBy(fixture->problem, OptimizerMethod::kRanking, 0);
   ASSERT_TRUE(unconstrained.ok());
   ASSERT_TRUE(k0.ok());
   ASSERT_TRUE(ranked.ok());
-  EXPECT_NEAR(unconstrained->total_cost, k0->total_cost, 1e-9);
-  EXPECT_NEAR(unconstrained->total_cost, ranked->total_cost, 1e-9);
+  EXPECT_NEAR(unconstrained->schedule.total_cost, k0->schedule.total_cost,
+              1e-9);
+  EXPECT_NEAR(unconstrained->schedule.total_cost,
+              ranked->schedule.total_cost, 1e-9);
 }
 
 TEST(OptimizerEdgeCases, KFarLargerThanSegments) {
   auto fixture = MakeRandomProblem(141, 3, 10);
-  auto huge_k = SolveKAware(fixture->problem, 1'000);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto huge_k = SolveBy(fixture->problem, OptimizerMethod::kOptimal, 1'000);
+  auto unconstrained =
+      SolveBy(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
   ASSERT_TRUE(huge_k.ok());
   ASSERT_TRUE(unconstrained.ok());
-  EXPECT_NEAR(huge_k->total_cost, unconstrained->total_cost, 1e-9);
+  EXPECT_NEAR(huge_k->schedule.total_cost, unconstrained->schedule.total_cost,
+              1e-9);
 }
 
 TEST(OptimizerEdgeCases, MergingOnAlreadyConstantScheduleIsStable) {
@@ -132,7 +136,8 @@ TEST(OptimizerEdgeCases, MergingOnAlreadyConstantScheduleIsStable) {
   constant.total_cost =
       EvaluateScheduleCost(fixture->problem, constant.configs);
   SolveStats stats;
-  auto merged = MergeToConstraint(fixture->problem, constant, 0, &stats);
+  auto merged =
+      MergeToConstraint(fixture->problem, constant, 0, &stats, SolveContext{});
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(stats.merge_steps, 0);
   EXPECT_EQ(merged->configs, constant.configs);

@@ -10,12 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
-#include "core/design_merging.h"
-#include "core/greedy_seq.h"
-#include "core/hybrid_optimizer.h"
-#include "core/k_aware_graph.h"
-#include "core/path_ranking.h"
-#include "core/unconstrained_optimizer.h"
 #include "core/validator.h"
 #include "test_util.h"
 
@@ -23,6 +17,10 @@ namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveBy;
+
+constexpr OptimizerMethod kOptimal = OptimizerMethod::kOptimal;
+constexpr OptimizerMethod kRanking = OptimizerMethod::kRanking;
 
 // (seed, num_segments, max_indexes_per_config)
 using ParamType = std::tuple<uint64_t, size_t, int32_t>;
@@ -42,17 +40,19 @@ TEST_P(OptimizerAgreementTest, OptimalSolversAgreeForEveryK) {
 
   for (int64_t k = 0; k <= static_cast<int64_t>(segments); ++k) {
     auto brute = SolveBruteForce(fixture->problem, k);
-    auto graph = SolveKAware(fixture->problem, k);
-    auto ranked = SolveByRanking(fixture->problem, k);
+    auto graph = SolveBy(fixture->problem, kOptimal, k);
+    auto ranked = SolveBy(fixture->problem, kRanking, k);
     ASSERT_TRUE(brute.ok()) << "k=" << k;
     ASSERT_TRUE(graph.ok()) << "k=" << k;
     ASSERT_TRUE(ranked.ok()) << "k=" << k;
 
-    EXPECT_NEAR(brute->total_cost, graph->total_cost, 1e-6) << "k=" << k;
-    EXPECT_NEAR(brute->total_cost, ranked->total_cost, 1e-6) << "k=" << k;
+    EXPECT_NEAR(brute->total_cost, graph->schedule.total_cost, 1e-6)
+        << "k=" << k;
+    EXPECT_NEAR(brute->total_cost, ranked->schedule.total_cost, 1e-6)
+        << "k=" << k;
 
-    EXPECT_TRUE(ValidateSchedule(fixture->problem, *graph, k).ok());
-    EXPECT_TRUE(ValidateSchedule(fixture->problem, *ranked, k).ok());
+    EXPECT_TRUE(ValidateSchedule(fixture->problem, graph->schedule, k).ok());
+    EXPECT_TRUE(ValidateSchedule(fixture->problem, ranked->schedule, k).ok());
   }
 }
 
@@ -61,33 +61,33 @@ TEST_P(OptimizerAgreementTest, HeuristicsAreFeasibleAndDominated) {
   auto fixture =
       MakeRandomProblem(seed, segments, /*block_size=*/8, max_per_config);
 
-  auto unconstrained = SolveUnconstrained(fixture->problem);
-  ASSERT_TRUE(unconstrained.ok());
-
-  GreedySeqOptions greedy_options;
-  greedy_options.candidate_indexes =
+  SolveOptions greedy_options;
+  greedy_options.method = OptimizerMethod::kGreedySeq;
+  greedy_options.num_threads = 1;
+  greedy_options.greedy.candidate_indexes =
       MakePaperCandidateIndexes(fixture->schema);
-  greedy_options.max_indexes_per_config = max_per_config;
+  greedy_options.greedy.max_indexes_per_config = max_per_config;
 
   for (int64_t k = 0; k <= static_cast<int64_t>(segments); ++k) {
-    auto optimal = SolveKAware(fixture->problem, k);
+    auto optimal = SolveBy(fixture->problem, kOptimal, k);
     ASSERT_TRUE(optimal.ok());
 
-    auto merged = MergeToConstraint(fixture->problem, *unconstrained, k);
+    auto merged = SolveBy(fixture->problem, OptimizerMethod::kMerging, k);
     ASSERT_TRUE(merged.ok());
-    EXPECT_LE(CountChanges(fixture->problem, merged->configs), k);
-    EXPECT_GE(merged->total_cost, optimal->total_cost - 1e-9);
-    EXPECT_TRUE(ValidateSchedule(fixture->problem, *merged, k).ok());
+    EXPECT_LE(CountChanges(fixture->problem, merged->schedule.configs), k);
+    EXPECT_GE(merged->schedule.total_cost, optimal->schedule.total_cost - 1e-9);
+    EXPECT_TRUE(ValidateSchedule(fixture->problem, merged->schedule, k).ok());
 
-    auto greedy = SolveGreedySeq(fixture->problem, k, greedy_options);
+    greedy_options.k = k;
+    auto greedy = Solve(fixture->problem, greedy_options);
     ASSERT_TRUE(greedy.ok());
     EXPECT_LE(CountChanges(fixture->problem, greedy->schedule.configs), k);
-    EXPECT_GE(greedy->schedule.total_cost, optimal->total_cost - 1e-9);
+    EXPECT_GE(greedy->schedule.total_cost, optimal->schedule.total_cost - 1e-9);
 
-    auto hybrid = SolveHybrid(fixture->problem, k);
+    auto hybrid = SolveBy(fixture->problem, OptimizerMethod::kHybrid, k);
     ASSERT_TRUE(hybrid.ok());
     EXPECT_LE(CountChanges(fixture->problem, hybrid->schedule.configs), k);
-    EXPECT_GE(hybrid->schedule.total_cost, optimal->total_cost - 1e-9);
+    EXPECT_GE(hybrid->schedule.total_cost, optimal->schedule.total_cost - 1e-9);
   }
 }
 
@@ -95,19 +95,20 @@ TEST_P(OptimizerAgreementTest, OptimalCostIsMonotoneInK) {
   const auto [seed, segments, max_per_config] = GetParam();
   auto fixture =
       MakeRandomProblem(seed, segments, /*block_size=*/8, max_per_config);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveBy(fixture->problem, kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
 
   double previous = std::numeric_limits<double>::infinity();
   for (int64_t k = 0; k <= static_cast<int64_t>(segments); ++k) {
-    auto schedule = SolveKAware(fixture->problem, k);
-    ASSERT_TRUE(schedule.ok());
-    EXPECT_LE(schedule->total_cost, previous + 1e-9) << "k=" << k;
-    EXPECT_GE(schedule->total_cost, unconstrained->total_cost - 1e-9);
-    previous = schedule->total_cost;
+    auto solved = SolveBy(fixture->problem, kOptimal, k);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_LE(solved->schedule.total_cost, previous + 1e-9) << "k=" << k;
+    EXPECT_GE(solved->schedule.total_cost,
+              unconstrained->schedule.total_cost - 1e-9);
+    previous = solved->schedule.total_cost;
   }
   // At k = segments, any schedule is expressible.
-  EXPECT_NEAR(previous, unconstrained->total_cost, 1e-6);
+  EXPECT_NEAR(previous, unconstrained->schedule.total_cost, 1e-6);
 }
 
 TEST_P(OptimizerAgreementTest, InitialChangePolicyAgreesAcrossSolvers) {
@@ -122,13 +123,15 @@ TEST_P(OptimizerAgreementTest, InitialChangePolicyAgreesAcrossSolvers) {
 
   for (int64_t k = 0; k <= 2; ++k) {
     auto brute = SolveBruteForce(fixture->problem, k);
-    auto graph = SolveKAware(fixture->problem, k);
-    auto ranked = SolveByRanking(fixture->problem, k);
+    auto graph = SolveBy(fixture->problem, kOptimal, k);
+    auto ranked = SolveBy(fixture->problem, kRanking, k);
     ASSERT_TRUE(brute.ok());
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(ranked.ok());
-    EXPECT_NEAR(brute->total_cost, graph->total_cost, 1e-6) << "k=" << k;
-    EXPECT_NEAR(brute->total_cost, ranked->total_cost, 1e-6) << "k=" << k;
+    EXPECT_NEAR(brute->total_cost, graph->schedule.total_cost, 1e-6)
+        << "k=" << k;
+    EXPECT_NEAR(brute->total_cost, ranked->schedule.total_cost, 1e-6)
+        << "k=" << k;
   }
 }
 
@@ -144,13 +147,15 @@ TEST_P(OptimizerAgreementTest, ForcedFinalConfigAgreesAcrossSolvers) {
 
   for (int64_t k = 0; k <= 2; ++k) {
     auto brute = SolveBruteForce(fixture->problem, k);
-    auto graph = SolveKAware(fixture->problem, k);
-    auto ranked = SolveByRanking(fixture->problem, k);
+    auto graph = SolveBy(fixture->problem, kOptimal, k);
+    auto ranked = SolveBy(fixture->problem, kRanking, k);
     ASSERT_TRUE(brute.ok());
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(ranked.ok());
-    EXPECT_NEAR(brute->total_cost, graph->total_cost, 1e-6) << "k=" << k;
-    EXPECT_NEAR(brute->total_cost, ranked->total_cost, 1e-6) << "k=" << k;
+    EXPECT_NEAR(brute->total_cost, graph->schedule.total_cost, 1e-6)
+        << "k=" << k;
+    EXPECT_NEAR(brute->total_cost, ranked->schedule.total_cost, 1e-6)
+        << "k=" << k;
   }
 }
 

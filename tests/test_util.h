@@ -2,11 +2,13 @@
 #define CDPD_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "advisor/config_enumeration.h"
 #include "common/rng.h"
 #include "core/design_problem.h"
+#include "core/solver.h"
 #include "cost/cost_model.h"
 #include "cost/what_if.h"
 #include "index/index_def.h"
@@ -74,6 +76,20 @@ inline std::unique_ptr<ProblemFixture> MakeRandomProblem(
           .value();
   fixture->problem.initial = Configuration::Empty();
   return fixture;
+}
+
+/// Solves `problem` through the single entry point, serially, with
+/// `method` and change bound `k` (nullopt = unconstrained) and every
+/// other option at its default. Tests that need more options build
+/// their own SolveOptions.
+inline Result<SolveResult> SolveBy(const DesignProblem& problem,
+                                   OptimizerMethod method,
+                                   std::optional<int64_t> k) {
+  SolveOptions options;
+  options.method = method;
+  options.k = k;
+  options.num_threads = 1;
+  return Solve(problem, options);
 }
 
 /// Shorthand for an index over named columns of `schema`.
