@@ -1,14 +1,20 @@
 // Substrate microbenchmarks: the physical primitives every experiment
 // stands on — B+-tree seeks, covering scans, heap scans, index build,
-// update maintenance, and what-if costing throughput.
+// update maintenance, what-if costing throughput, and the SQL front
+// end's trace read.
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "cost/what_if.h"
 #include "index/index_builder.h"
+#include "workload/standard_workloads.h"
+#include "workload/trace_io.h"
 
 namespace cdpd {
 namespace {
@@ -138,6 +144,27 @@ void BM_ApplyConfigurationRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyConfigurationRoundTrip)->Unit(benchmark::kMillisecond);
 
+void BM_ReadTrace(benchmark::State& state) {
+  // One W1 trace of 30 blocks x 3334 = 100,020 statements, rendered to
+  // SQL text once; each iteration parses and binds all of it.
+  static const Schema schema = MakePaperSchema();
+  static const std::string text = [] {
+    WorkloadGenerator gen(schema, kDomain, bench_util::kSeed);
+    return WriteTrace(schema,
+                      MakeScaledPaperWorkload("W1", 3'334, &gen).value());
+  }();
+  size_t statements = 0;
+  for (auto _ : state) {
+    auto workload = ReadTrace(schema, text);
+    if (!workload.ok()) std::abort();
+    statements = workload->size();
+    benchmark::DoNotOptimize(workload);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(statements));
+}
+BENCHMARK(BM_ReadTrace)->Unit(benchmark::kMillisecond);
+
 /// Feeds every google-benchmark result into the BENCH_*.json telemetry
 /// artifact (one case per benchmark, per-iteration real time) while
 /// still printing the usual console table.
@@ -149,10 +176,16 @@ class ReportingReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred || run.iterations == 0) continue;
+      std::vector<std::pair<std::string, double>> metrics = {
+          {"iterations", static_cast<double>(run.iterations)}};
+      if (const auto items = run.counters.find("items_per_second");
+          items != run.counters.end()) {
+        metrics.emplace_back("items_per_second", items->second.value);
+      }
       report_->AddCase(
           run.benchmark_name(),
           run.real_accumulated_time / static_cast<double>(run.iterations),
-          {{"iterations", static_cast<double>(run.iterations)}});
+          metrics);
     }
     ConsoleReporter::ReportRuns(runs);
   }

@@ -103,7 +103,8 @@ void PrintHelp(std::FILE* out) {
       "                    header's scale line)\n"
       "  --session-reuse N run the recommendation N times through one\n"
       "                    warm what-if cost cache (the SolverSession\n"
-      "                    amortization path); reports per-pass times\n"
+      "                    amortization path); reports per-pass times;\n"
+      "                    --metrics-out counts cover all N passes\n"
       "  --calibrate       measure cost-model constants on a scratch db\n"
       "  --emit-ddl        print the CREATE/DROP INDEX script\n"
       "\n"
@@ -446,10 +447,16 @@ int main(int argc, char** argv) {
   CostCache session_cache;
   if (args.session_reuse > 1) options.cost_cache = &session_cache;
   auto rec = advisor.Recommend(trace, options);
-  for (int64_t pass = 2; pass <= args.session_reuse && rec.ok(); ++pass) {
+  // The registry accumulates over every pass; so do these totals.
+  int64_t all_passes_costings = 0;
+  int64_t all_passes_cache_hits = 0;
+  for (int64_t pass = 1; rec.ok(); ++pass) {
+    all_passes_costings += rec->stats.costings;
+    all_passes_cache_hits += rec->stats.cost_cache_hits;
+    if (pass == args.session_reuse) break;
     if (chatty) {
       std::printf("session pass %lld/%lld: %.3fs, %lld cost-cache hits\n",
-                  static_cast<long long>(pass - 1),
+                  static_cast<long long>(pass),
                   static_cast<long long>(args.session_reuse),
                   rec->stats.wall_seconds,
                   static_cast<long long>(rec->stats.cost_cache_hits));
@@ -572,18 +579,21 @@ int main(int argc, char** argv) {
   if (!args.metrics_out.empty()) {
     const MetricsSnapshot snapshot = registry.Snapshot();
     // The registry's "solver.*" counters are the same numbers the
-    // SolveStats above reports — sanity-check the round trip before
-    // exporting, so the artifact can be trusted to match the printout.
+    // passes' SolveStats report, summed over every --session-reuse
+    // pass — sanity-check the round trip before exporting, so the
+    // artifact can be trusted to match the printout.
     const SolveStats from_registry = SolveStats::FromSnapshot(snapshot);
-    if (from_registry.costings != stats.costings ||
-        from_registry.cost_cache_hits != stats.cost_cache_hits) {
+    if (from_registry.costings != all_passes_costings ||
+        from_registry.cost_cache_hits != all_passes_cache_hits) {
       std::fprintf(stderr,
                    "metrics/stats mismatch: registry %lld costings / %lld "
-                   "cost-cache hits, SolveStats %lld / %lld\n",
+                   "cost-cache hits, SolveStats over %lld pass(es) "
+                   "%lld / %lld\n",
                    static_cast<long long>(from_registry.costings),
                    static_cast<long long>(from_registry.cost_cache_hits),
-                   static_cast<long long>(stats.costings),
-                   static_cast<long long>(stats.cost_cache_hits));
+                   static_cast<long long>(args.session_reuse),
+                   static_cast<long long>(all_passes_costings),
+                   static_cast<long long>(all_passes_cache_hits));
       return 1;
     }
     if (!WriteFile(args.metrics_out, snapshot.ToJson())) {

@@ -1,9 +1,17 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace cdpd {
+
+namespace {
+
+/// Maps 'A'..'Z' to 'a'..'z'; every other byte is returned unchanged.
+char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+}  // namespace
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
@@ -29,29 +37,21 @@ std::vector<std::string> Split(std::string_view text, char sep) {
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (begin < end && IsAsciiSpace(text[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
 std::string ToLower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiToLower(c);
   return out;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) return false;
   }
   return true;
 }

@@ -13,6 +13,12 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Splits `text` at every occurrence of `sep`; empty fields are kept.
 std::vector<std::string> Split(std::string_view text, char sep);
 
+/// ASCII whitespace: ' ', '\t', '\n', '\v', '\f' and '\r' (the "C"
+/// locale's set; no other locale is consulted).
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 

@@ -2,11 +2,10 @@
 #define CDPD_SQL_LEXER_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
+#include "common/status.h"
 
 namespace cdpd {
 
@@ -27,17 +26,23 @@ enum class TokenType {
 
 struct Token {
   TokenType type = TokenType::kEnd;
-  std::string text;     // Raw text (identifier spelling).
+  /// The token's spelling: a view into the text passed to Tokenize(),
+  /// valid only while that text lives. Empty for kEnd.
+  std::string_view text;
   int64_t value = 0;    // For kInteger.
   size_t position = 0;  // Byte offset in the input, for error messages.
 
   bool operator==(const Token& other) const = default;
 };
 
-/// Tokenizes `sql`. Returns ParseError on any character outside the
-/// dialect or an out-of-range integer literal. The result always ends
-/// with a kEnd token.
-Result<std::vector<Token>> Tokenize(std::string_view sql);
+/// Tokenizes `sql` into `*tokens`, replacing its contents; the buffer's
+/// capacity is kept, so one buffer serves any number of statements
+/// without allocating. On success the tokens end with a kEnd token.
+/// Returns ParseError on any character outside the dialect (the
+/// dialect is ASCII: whitespace, letters, digits, '_' and "()-,=*;")
+/// or an out-of-range integer literal; the buffer's contents are then
+/// unspecified.
+Status Tokenize(std::string_view sql, std::vector<Token>* tokens);
 
 }  // namespace cdpd
 

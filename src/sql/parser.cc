@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "sql/lexer.h"
 
@@ -7,7 +9,8 @@ namespace cdpd {
 
 namespace {
 
-/// Token cursor with the small helpers the grammar needs.
+/// Token cursor with the small helpers the grammar needs. Identifier
+/// reads return views into the statement text.
 class Cursor {
  public:
   explicit Cursor(const std::vector<Token>& tokens) : tokens_(tokens) {}
@@ -29,7 +32,7 @@ class Cursor {
     return Status::OK();
   }
 
-  Result<std::string> ExpectIdentifier(std::string_view what) {
+  Result<std::string_view> ExpectIdentifier(std::string_view what) {
     if (Peek().type != TokenType::kIdentifier) {
       return Error("expected " + std::string(what));
     }
@@ -58,11 +61,13 @@ class Cursor {
   }
 
   Status Error(std::string message) const {
-    return Status::ParseError(std::move(message) + " at offset " +
-                              std::to_string(Peek().position) +
-                              (Peek().text.empty() ? std::string()
-                                                   : " (got '" + Peek().text +
-                                                         "')"));
+    message += " at offset " + std::to_string(Peek().position);
+    if (!Peek().text.empty()) {
+      message += " (got '";
+      message += Peek().text;
+      message += "')";
+    }
+    return Status::ParseError(std::move(message));
   }
 
  private:
@@ -139,9 +144,9 @@ Result<std::vector<std::string>> ParseColumnList(Cursor* cur) {
   CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kLeftParen, "("));
   std::vector<std::string> columns;
   for (;;) {
-    CDPD_ASSIGN_OR_RETURN(std::string column,
+    CDPD_ASSIGN_OR_RETURN(std::string_view column,
                           cur->ExpectIdentifier("column name"));
-    columns.push_back(std::move(column));
+    columns.emplace_back(column);
     if (cur->Peek().type == TokenType::kComma) {
       cur->Advance();
       continue;
@@ -186,7 +191,13 @@ Result<StatementAst> ParseOne(Cursor* cur) {
 }  // namespace
 
 Result<StatementAst> ParseStatement(std::string_view sql) {
-  CDPD_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  // Lexing is eager, so a lexical error anywhere in the statement is
+  // reported before any grammar error. The buffer holds no strings and
+  // is reused by every call on this thread; its views into `sql` go
+  // stale when this returns and are never read again, because
+  // Tokenize() clears the buffer first.
+  thread_local std::vector<Token> tokens;
+  CDPD_RETURN_IF_ERROR(Tokenize(sql, &tokens));
   Cursor cur(tokens);
   if (cur.AtEnd()) return Status::ParseError("empty statement");
   return ParseOne(&cur);
@@ -194,7 +205,11 @@ Result<StatementAst> ParseStatement(std::string_view sql) {
 
 Result<std::vector<StatementAst>> ParseScript(std::string_view sql) {
   std::vector<StatementAst> statements;
-  for (const std::string& piece : Split(sql, ';')) {
+  size_t begin = 0;
+  while (begin <= sql.size()) {
+    const size_t semicolon = std::min(sql.find(';', begin), sql.size());
+    const std::string_view piece = sql.substr(begin, semicolon - begin);
+    begin = semicolon + 1;
     if (Trim(piece).empty()) continue;
     CDPD_ASSIGN_OR_RETURN(StatementAst ast, ParseStatement(piece));
     statements.push_back(std::move(ast));

@@ -1,8 +1,9 @@
 #include "workload/trace_io.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/string_util.h"
 #include "sql/binder.h"
@@ -46,56 +47,93 @@ Status WriteTraceFile(const std::string& path, const Schema& schema,
   return Status::OK();
 }
 
+namespace {
+
+/// Splits the first ' '-separated word off `*rest`.
+std::string_view NextWord(std::string_view* rest) {
+  const size_t space = std::min(rest->find(' '), rest->size());
+  const std::string_view word = rest->substr(0, space);
+  rest->remove_prefix(std::min(space + 1, rest->size()));
+  return word;
+}
+
+std::string LinePrefix(size_t line_number) {
+  return "line " + std::to_string(line_number) + ": ";
+}
+
+}  // namespace
+
 Result<Workload> ReadTrace(const Schema& schema, std::string_view text) {
   Workload workload;
+  // One statement per line at most, and no statement is shorter than
+  // "INSERT INTO t VALUES(1)" plus its newline: the bound keeps a run
+  // of blank lines from reserving more than a few bytes per input byte.
+  constexpr size_t kShortestStatementLine = 24;
+  workload.statements.reserve(
+      std::min(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
+               text.size() / kShortestStatementLine) +
+      1);
   size_t current_block = 0;
   bool saw_block_comments = false;
   size_t line_number = 0;
   size_t block_begin_statement = 0;
 
-  std::istringstream stream{std::string(text)};
-  std::string raw_line;
-  while (std::getline(stream, raw_line)) {
+  size_t line_begin = 0;
+  while (line_begin < text.size()) {
+    const size_t line_end = std::min(text.find('\n', line_begin), text.size());
+    const std::string_view line =
+        Trim(text.substr(line_begin, line_end - line_begin));
+    line_begin = line_end + 1;
     ++line_number;
-    const std::string_view line = Trim(raw_line);
     if (line.empty()) continue;
     if (line.substr(0, 2) == "--") {
       // Block marker comments carry the mix labels; other comments are
       // ignored.
-      const std::vector<std::string> words =
-          Split(std::string(Trim(line.substr(2))), ' ');
-      if (words.size() >= 2 && words[0] == "block") {
-        saw_block_comments = true;
-        current_block = static_cast<size_t>(std::atoll(words[1].c_str()));
-        while (workload.block_mix_names.size() <= current_block) {
-          workload.block_mix_names.emplace_back();
-        }
-        if (words.size() >= 4 && words[2] == "mix") {
-          workload.block_mix_names[current_block] = words[3];
-        }
-        if (current_block == 1 && workload.block_size == 0) {
-          workload.block_size = workload.size() - block_begin_statement;
-        }
-        block_begin_statement = workload.size();
+      std::string_view rest = Trim(line.substr(2));
+      if (NextWord(&rest) != "block") continue;
+      const std::string_view number = NextWord(&rest);
+      int64_t block = 0;
+      const auto [number_end, error] = std::from_chars(
+          number.data(), number.data() + number.size(), block);
+      if (error == std::errc::invalid_argument ||
+          number_end != number.data() + number.size()) {
+        continue;  // Not a decimal: an ordinary comment.
       }
+      const size_t next_block = workload.block_mix_names.size();
+      if (error == std::errc::result_out_of_range || block < 0 ||
+          static_cast<uint64_t>(block) > next_block) {
+        return Status::ParseError(
+            LinePrefix(line_number) + "block marker " + std::string(number) +
+            " is out of order (the next block is " +
+            std::to_string(next_block) + ")");
+      }
+      saw_block_comments = true;
+      current_block = static_cast<size_t>(block);
+      if (current_block == next_block) workload.block_mix_names.emplace_back();
+      if (NextWord(&rest) == "mix" && !rest.empty()) {
+        workload.block_mix_names[current_block] = NextWord(&rest);
+      }
+      if (current_block == 1 && workload.block_size == 0) {
+        workload.block_size = workload.size() - block_begin_statement;
+      }
+      block_begin_statement = workload.size();
       continue;
     }
     auto ast = ParseStatement(line);
     if (!ast.ok()) {
-      return Status::ParseError("line " + std::to_string(line_number) + ": " +
+      return Status::ParseError(LinePrefix(line_number) +
                                 ast.status().message());
     }
     if (std::holds_alternative<CreateIndexAst>(*ast) ||
         std::holds_alternative<DropIndexAst>(*ast)) {
       return Status::InvalidArgument(
-          "line " + std::to_string(line_number) +
-          ": index DDL is not allowed in a workload trace");
+          LinePrefix(line_number) +
+          "index DDL is not allowed in a workload trace");
     }
     auto bound = BindStatement(schema, *ast);
     if (!bound.ok()) {
       return Status(bound.status().code(),
-                    "line " + std::to_string(line_number) + ": " +
-                        bound.status().message());
+                    LinePrefix(line_number) + bound.status().message());
     }
     workload.statements.push_back(std::move(bound).value());
   }
@@ -108,13 +146,24 @@ Result<Workload> ReadTrace(const Schema& schema, std::string_view text) {
 
 Result<Workload> ReadTraceFile(const std::string& path,
                                const Schema& schema) {
-  std::ifstream file(path);
+  std::ifstream file(path, std::ios::binary);
   if (!file) {
     return Status::NotFound("cannot open trace file '" + path + "'");
   }
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  return ReadTrace(schema, contents.str());
+  // Read straight into one string. The file size is only a first guess:
+  // a pipe has none and a growing file may hold more.
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  std::string text(size_error ? size_t{1} << 16 : size + 1, '\0');
+  size_t used = 0;
+  while (file.read(text.data() + used,
+                   static_cast<std::streamsize>(text.size() - used)),
+         file.gcount() > 0) {
+    used += static_cast<size_t>(file.gcount());
+    if (used == text.size()) text.resize(2 * text.size());
+  }
+  text.resize(used);
+  return ReadTrace(schema, text);
 }
 
 }  // namespace cdpd

@@ -2,6 +2,7 @@
 #define CDPD_WORKLOAD_TRACE_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "workload/workload.h"
@@ -25,12 +26,25 @@ Status WriteTraceFile(const std::string& path, const Schema& schema,
 
 /// Parses a trace produced by WriteTrace() — or any ';'-terminated,
 /// one-statement-per-line SQL script with optional '--' comments —
-/// into a bound workload. Statement kinds are restricted to the DML
-/// dialect (index DDL in a trace is rejected: physical design is the
-/// advisor's output, not its input).
+/// into a bound workload, in one pass over `text`. Lines end at '\n'
+/// (a trailing '\r' is whitespace). Statement kinds are restricted to
+/// the DML dialect (index DDL in a trace is rejected: physical design
+/// is the advisor's output, not its input).
+///
+/// Block markers. A comment whose words, split at single spaces, are
+///
+///   -- block <n> [mix <name>]
+///
+/// with <n> a decimal integer starts block n, labelled <name>. Blocks
+/// are numbered in order: n may restate an earlier block (relabelling
+/// it) or open the next one, n == block_mix_names.size(); a negative n,
+/// or one beyond the next block, is a ParseError that names the line.
+/// When `block` is followed by anything other than a decimal integer
+/// ("-- block party", "-- block 1x", "-- block +1") the line is an
+/// ordinary comment. block_size is the statement count of block 0.
 Result<Workload> ReadTrace(const Schema& schema, std::string_view text);
 
-/// Reads and parses a trace file.
+/// Reads a trace file into one string and parses it with ReadTrace().
 Result<Workload> ReadTraceFile(const std::string& path, const Schema& schema);
 
 }  // namespace cdpd

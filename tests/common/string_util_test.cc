@@ -36,10 +36,14 @@ TEST(StringUtilTest, TrimRemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim("x"), "x");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
+  // ASCII whitespace only: \xa0 (a no-break space in Latin-1) stays.
+  EXPECT_EQ(Trim("\v\f\r x \xa0"), "x \xa0");
 }
 
 TEST(StringUtilTest, ToLower) {
   EXPECT_EQ(ToLower("SeLeCt * FROM T"), "select * from t");
+  // Only 'A'..'Z' fold; the bytes around them and non-ASCII bytes stay.
+  EXPECT_EQ(ToLower("@AZ[\xc4"), "@az[\xc4");
 }
 
 TEST(StringUtilTest, EqualsIgnoreCase) {
@@ -47,6 +51,8 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_TRUE(EqualsIgnoreCase("", ""));
   EXPECT_FALSE(EqualsIgnoreCase("a", "ab"));
   EXPECT_FALSE(EqualsIgnoreCase("abc", "abd"));
+  EXPECT_FALSE(EqualsIgnoreCase("@", "`"));
+  EXPECT_FALSE(EqualsIgnoreCase("\xc4", "\xe4"));
 }
 
 TEST(StringUtilTest, FormatDouble) {

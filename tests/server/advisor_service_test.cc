@@ -184,6 +184,25 @@ TEST(AdvisorServiceTest, IngestSlidesTheWindowAndBumpsTheEpoch) {
   EXPECT_FALSE(service.IngestSql("SELECT a FROM nosuchtable;").ok());
 }
 
+TEST(AdvisorServiceTest, MalformedBlockMarkerFailsTheIngestAndKeepsTheWindow) {
+  AdvisorService service(SmallServiceOptions());
+  ASSERT_TRUE(service.IngestSql(TraceBatch(1)).ok());
+  ASSERT_EQ(service.window_size(), 10u);
+  ASSERT_EQ(service.epoch(), 1u);
+
+  for (const std::string marker : {"-- block -1", "-- block 5000000"}) {
+    const auto ack = service.Handle(static_cast<uint8_t>(ServerOp::kIngest),
+                                    marker + "\n" + TraceBatch(2));
+    ASSERT_FALSE(ack.ok()) << marker;
+    EXPECT_EQ(ack.status().code(), StatusCode::kParseError) << marker;
+    EXPECT_NE(ack.status().message().find("line 1: block marker"),
+              std::string::npos)
+        << ack.status();
+    EXPECT_EQ(service.window_size(), 10u) << marker;
+    EXPECT_EQ(service.epoch(), 1u) << marker;
+  }
+}
+
 TEST(AdvisorServiceTest, WhatIfRejectsConfigOverTheSpaceBound) {
   ServiceOptions options = SmallServiceOptions();
   options.space_bound_pages = 1;  // No index fits in one page.

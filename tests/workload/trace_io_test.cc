@@ -1,6 +1,8 @@
 #include "workload/trace_io.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +70,54 @@ TEST_F(TraceIoTest, RejectsDdlInTraces) {
   const auto status =
       ReadTrace(schema_, "CREATE INDEX ON t (a);\n").status();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(TraceIoTest, BlockMarkersNumberTheBlocksInOrder) {
+  auto parsed = ReadTrace(schema_,
+                          "-- block 0 mix A\n"
+                          "SELECT a FROM t WHERE a = 1;\n"
+                          "SELECT a FROM t WHERE a = 2;\n"
+                          "-- block 1 mix C\n"
+                          "SELECT b FROM t WHERE b = 3;\n"
+                          "-- block 1 mix D\n"  // Relabels block 1.
+                          "-- block 2\n"
+                          "SELECT c FROM t WHERE c = 4;\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->size(), 4u);
+  EXPECT_EQ(parsed->block_size, 2u);
+  EXPECT_EQ(parsed->block_mix_names,
+            (std::vector<std::string>{"A", "D", ""}));
+}
+
+TEST_F(TraceIoTest, BlockMarkerBeyondTheNextBlockIsAParseError) {
+  // Each would once have grown the mix-name table up to the marker's
+  // number (-1 wrapped to SIZE_MAX).
+  for (const std::string marker :
+       {"-- block -1", "-- block 5000000", "-- block 2 mix B",
+        "-- block 99999999999999999999", "-- block -9223372036854775808"}) {
+    const std::string text =
+        "-- block 0 mix A\nSELECT a FROM t WHERE a = 1;\n" + marker +
+        "\nSELECT a FROM t WHERE a = 2;\n";
+    const Status status = ReadTrace(schema_, text).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << marker;
+    EXPECT_EQ(status.message().rfind("line 3: block marker ", 0), 0u)
+        << status;
+  }
+  EXPECT_EQ(ReadTrace(schema_, "-- block 1\n").status().message(),
+            "line 1: block marker 1 is out of order (the next block is 0)");
+}
+
+TEST_F(TraceIoTest, BlockWithoutADecimalIsAnOrdinaryComment) {
+  for (const std::string comment :
+       {"-- block party", "-- block", "-- block 1x", "-- block +1",
+        "-- block  1", "-- blocked 1", "-- block\t1"}) {
+    auto parsed =
+        ReadTrace(schema_, comment + "\nSELECT a FROM t WHERE a = 1;\n");
+    ASSERT_TRUE(parsed.ok()) << comment << ": " << parsed.status();
+    EXPECT_EQ(parsed->size(), 1u) << comment;
+    EXPECT_TRUE(parsed->block_mix_names.empty()) << comment;
+    EXPECT_EQ(parsed->block_size, 0u) << comment;
+  }
 }
 
 TEST_F(TraceIoTest, FileRoundTrip) {
