@@ -1,32 +1,17 @@
 #ifndef CDPD_SERVER_ADVISOR_SERVER_H_
 #define CDPD_SERVER_ADVISOR_SERVER_H_
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
+#include <cstddef>
 
 #include "common/result.h"
 #include "server/advisor_service.h"
+#include "server/listener.h"
 
 namespace cdpd {
 
-/// Transport knobs of the advisor server.
-struct ServerOptions {
-  /// Loopback by default: the protocol is unauthenticated, so the
-  /// server should not listen on a routable interface unless the
-  /// deployment supplies its own perimeter.
-  std::string host = "127.0.0.1";
-  /// 0 = ephemeral; the bound port is reported by port().
-  int port = 0;
-  int backlog = 64;
-};
-
-/// The advisor's TCP front end: accepts connections on a loopback
-/// socket and speaks the length-prefixed frame protocol of
-/// server/frame.h, dispatching each request frame to an AdvisorService
+/// The advisor's frame plane: speaks the length-prefixed frame protocol
+/// of server/frame.h on the connections a Listener (server/listener.h)
+/// accepts, dispatching each request frame to an AdvisorService
 /// (borrowed — must outlive the server) on a per-connection thread.
 /// One request, one response; requests on one connection are
 /// sequential, concurrency comes from multiple connections.
@@ -34,8 +19,8 @@ struct ServerOptions {
 /// Lifecycle: Start() binds and spawns the accept thread; Wait()
 /// blocks until a SHUTDOWN frame (or Shutdown() from another thread)
 /// stops the server; the destructor shuts down and joins. A SHUTDOWN
-/// request is acked first, then the listener closes, in-flight solves
-/// are cancelled through the service's cancel token, and every
+/// request is acked first, then in-flight solves are cancelled through
+/// the service's cancel token, the listener closes, and every
 /// connection thread is joined.
 ///
 /// Per-request metrics land in the service registry: the
@@ -55,64 +40,54 @@ struct ServerOptions {
 class AdvisorServer {
  public:
   /// `service` is borrowed and must outlive the server.
-  explicit AdvisorServer(AdvisorService* service) : service_(service) {}
-  AdvisorServer(const AdvisorServer&) = delete;
-  AdvisorServer& operator=(const AdvisorServer&) = delete;
-  ~AdvisorServer();
+  explicit AdvisorServer(AdvisorService* service)
+      : service_(service),
+        listener_([this](int fd) { ServeConnection(fd); }) {}
+  ~AdvisorServer() { Shutdown(); }
 
-  /// Binds, listens, and spawns the accept thread. Fails with Internal
-  /// on socket errors (port in use, no permission).
-  Status Start(const ServerOptions& options = {});
+  /// Binds, listens, and spawns the accept thread. Fails as
+  /// Listener::Start() does: at most one successful Start(), never
+  /// after a shutdown, and only for a port in [0, 65535].
+  Status Start(const ListenOptions& options = {}) {
+    return listener_.Start(options);
+  }
 
   /// The bound port (the ephemeral port when options.port was 0); 0
   /// before Start().
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
 
   /// Blocks until the server has stopped (SHUTDOWN frame or
-  /// Shutdown()).
-  void Wait();
+  /// Shutdown()) and every connection thread has been joined.
+  void Wait() { listener_.Join(); }
 
   /// Stops accepting, cancels in-flight solves, unblocks connection
-  /// reads, and joins every thread. Idempotent; safe from any thread
-  /// (including a connection handler, via the deferred self-join in
-  /// Wait()).
-  void Shutdown();
+  /// reads, and joins every thread. Idempotent. Not from a connection
+  /// handler: a handler stops the server with RequestStop().
+  void Shutdown() {
+    RequestStop();
+    Wait();
+  }
 
-  /// The non-blocking half of Shutdown(): flips the stop flag, cancels
-  /// solves, closes the listener, and unblocks connection reads —
-  /// without joining anything, so it is safe from a connection handler
-  /// and from a signal watcher while another thread sits in Wait().
-  void RequestStop();
+  /// The non-blocking half of Shutdown(): cancels solves, closes the
+  /// listener, and unblocks connection reads — without joining
+  /// anything, so it is safe from a connection handler and from a
+  /// signal watcher while another thread sits in Wait().
+  void RequestStop() {
+    service_->CancelAll();
+    listener_.Stop();
+  }
+
+  /// Connections still tracked by the listener. Exposed so tests can
+  /// assert the set stays bounded across many sequential connections.
+  size_t TrackedConnectionsForTest() { return listener_.TrackedConnections(); }
 
  private:
-  /// One accepted connection: its socket, the thread serving it, and a
-  /// completion flag the accept loop polls so finished threads are
-  /// joined during operation rather than hoarding one mapped stack per
-  /// past connection until shutdown.
-  struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
-    int fd;
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
-  void AcceptLoop();
-  void ServeConnection(Connection* conn);
-  /// Joins and frees every connection whose handler has finished.
-  /// Called by the accept loop before each accept.
-  void ReapFinished();
+  /// The frame loop of one connection; returns when the client hangs
+  /// up, a write fails, or a SHUTDOWN frame was served.
+  void ServeConnection(int fd);
 
   AdvisorService* service_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  std::vector<int> open_fds_;
-  /// Serializes Wait()/Shutdown() joins (either may be called from the
-  /// main thread and the destructor).
-  std::mutex join_mu_;
+  Listener listener_;
 };
 
 }  // namespace cdpd

@@ -135,6 +135,9 @@ Status ReadExact(int, void*, size_t, bool*) {
 Status WriteExact(int, const void*, size_t) {
   return Status::Internal("advisor serving requires POSIX sockets");
 }
+Result<size_t> ReadSome(int, void*, size_t) {
+  return Status::Internal("advisor serving requires POSIX sockets");
+}
 
 #else
 
@@ -171,6 +174,17 @@ Status WriteExact(int fd, const void* data, size_t size) {
                             std::strerror(errno));
   }
   return Status::OK();
+}
+
+Result<size_t> ReadSome(int fd, void* data, size_t size) {
+  for (;;) {
+    const ssize_t n = ::read(fd, data, size);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno != EINTR) {
+      return Status::Internal(std::string("read failed: ") +
+                              std::strerror(errno));
+    }
+  }
 }
 
 #endif  // _WIN32

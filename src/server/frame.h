@@ -116,6 +116,10 @@ Status ReadExact(int fd, void* data, size_t size, bool* clean_eof = nullptr);
 /// EINTR.
 Status WriteExact(int fd, const void* data, size_t size);
 
+/// Reads what `fd` has ready, at most `size` bytes, riding out EINTR.
+/// Returns the byte count; 0 means the peer closed the connection.
+Result<size_t> ReadSome(int fd, void* data, size_t size);
+
 /// Reads one frame from `fd`. `clean_eof` (optional) is set when the
 /// peer closed the connection cleanly before the first length byte —
 /// the normal end of a client session, reported as an error status

@@ -1,41 +1,29 @@
 #ifndef CDPD_SERVER_HTTP_ENDPOINT_H_
 #define CDPD_SERVER_HTTP_ENDPOINT_H_
 
-#include <atomic>
-#include <memory>
-#include <mutex>
+#include <cstddef>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "common/result.h"
 #include "server/advisor_service.h"
+#include "server/listener.h"
 
 namespace cdpd {
 
-/// Transport knobs of the observability listener.
-struct HttpOptions {
-  /// Loopback by default, same rationale as ServerOptions: the
-  /// endpoints are unauthenticated.
-  std::string host = "127.0.0.1";
-  /// 0 = ephemeral; the bound port is reported by port().
-  int port = 0;
-  int backlog = 16;
-};
-
 /// One parsed HTTP request target and the response to send back —
-/// separated from the socket loop so the routing logic is unit-testable
-/// without a live listener.
+/// separated from the connection handler so the routing logic is
+/// unit-testable without a live listener.
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
 };
 
-/// The advisor's observability plane: a minimal HTTP/1.0 listener that
-/// runs in the same process as the frame-protocol server (separate
-/// port) and serves read-only views of the AdvisorService:
+/// The advisor's observability plane: a minimal HTTP/1.0 server on its
+/// own Listener (server/listener.h), in the same process as the
+/// frame-protocol server (separate port), serving read-only views of
+/// the AdvisorService:
 ///
 ///   GET /metrics   Prometheus text exposition of the live snapshot
 ///                  (counters, gauges, histogram summaries, exemplars).
@@ -55,63 +43,44 @@ struct HttpResponse {
 /// service is borrowed and must outlive the endpoint.
 class HttpEndpoint {
  public:
-  explicit HttpEndpoint(AdvisorService* service) : service_(service) {}
-  HttpEndpoint(const HttpEndpoint&) = delete;
-  HttpEndpoint& operator=(const HttpEndpoint&) = delete;
-  ~HttpEndpoint();
+  explicit HttpEndpoint(AdvisorService* service)
+      : service_(service),
+        listener_([this](int fd) { ServeConnection(fd); }) {}
 
-  /// Binds, listens, and spawns the accept thread.
-  Status Start(const HttpOptions& options = {});
+  /// Binds, listens, and spawns the accept thread. Fails as
+  /// Listener::Start() does.
+  Status Start(const ListenOptions& options = {}) {
+    return listener_.Start(options);
+  }
 
   /// The bound port (the ephemeral port when options.port was 0); 0
   /// before Start().
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
 
   /// Stops accepting, unblocks in-flight connections, joins all
   /// threads. Idempotent.
-  void Shutdown();
+  void Shutdown() {
+    listener_.Stop();
+    listener_.Join();
+  }
 
   /// Connections still tracked (serving, or finished and awaiting the
   /// accept loop's next reap). Exposed so tests can assert the set
   /// stays bounded across many sequential requests.
-  size_t TrackedConnectionsForTest() {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    return connections_.size();
-  }
+  size_t TrackedConnectionsForTest() { return listener_.TrackedConnections(); }
 
   /// Pure routing: maps a request target ("/metrics",
-  /// "/trace?id=abc") to the response the socket loop would send.
+  /// "/trace?id=abc") to the response the handler would send.
   /// Exposed for tests.
   HttpResponse Route(std::string_view target);
 
  private:
-  /// One accepted connection: its socket, the thread serving it, and a
-  /// completion flag the accept loop polls so finished threads are
-  /// joined during operation — an unjoined thread keeps its stack
-  /// mapped, and a server scraped every few seconds must not hoard one
-  /// mapping per past request until shutdown.
-  struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
-    int fd;
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
-  void AcceptLoop();
-  void ServeConnection(Connection* conn);
-  /// Joins and frees every connection whose handler has finished.
-  /// Called by the accept loop before each accept.
-  void ReapFinished();
+  /// Reads one request's headers, routes its target, and writes the
+  /// response; the listener then closes the connection.
+  void ServeConnection(int fd);
 
   AdvisorService* service_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  std::vector<int> open_fds_;
-  std::mutex join_mu_;
+  Listener listener_;
 };
 
 }  // namespace cdpd

@@ -6,6 +6,7 @@
 
 #include "server/advisor_server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -330,6 +331,25 @@ TEST(AdvisorServerTest, ShutdownIsIdempotentAndWaitReturns) {
   server.Shutdown();
   server.Shutdown();  // second call is a no-op
   server.Wait();      // returns immediately once stopped
+}
+
+TEST(AdvisorServerTest, FinishedConnectionThreadsAreReapedDuringOperation) {
+  // The frame-plane twin of the HTTP reaping test: a server that sees
+  // many short client sessions must not keep one unjoined thread per
+  // past connection.
+  AdvisorService service(TestServiceOptions());
+  AdvisorServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  size_t max_tracked = 0;
+  for (int i = 0; i < 200; ++i) {
+    AdvisorClient client =
+        AdvisorClient::Connect("127.0.0.1", server.port()).value();
+    ASSERT_TRUE(client.Ping().ok());
+    max_tracked = std::max(max_tracked, server.TrackedConnectionsForTest());
+  }
+  EXPECT_LE(max_tracked, 16u);
+  server.Shutdown();
+  EXPECT_EQ(server.TrackedConnectionsForTest(), 0u);
 }
 
 }  // namespace

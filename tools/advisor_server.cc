@@ -263,10 +263,10 @@ int main(int argc, char** argv) {
   }
 
   AdvisorServer server(&service);
-  ServerOptions server_options;
-  server_options.host = args.host;
-  server_options.port = static_cast<int>(args.port);
-  if (const Status status = server.Start(server_options); !status.ok()) {
+  ListenOptions listen_options;
+  listen_options.host = args.host;
+  listen_options.port = static_cast<int>(args.port);
+  if (const Status status = server.Start(listen_options); !status.ok()) {
     std::fprintf(stderr, "cannot start: %s\n", status.ToString().c_str());
     return 1;
   }
@@ -274,10 +274,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<HttpEndpoint> http;
   if (args.http_port >= 0) {
     http = std::make_unique<HttpEndpoint>(&service);
-    HttpOptions http_options;
-    http_options.host = args.host;
-    http_options.port = static_cast<int>(args.http_port);
-    if (const Status status = http->Start(http_options); !status.ok()) {
+    listen_options.port = static_cast<int>(args.http_port);
+    if (const Status status = http->Start(listen_options); !status.ok()) {
       std::fprintf(stderr, "cannot start the observability endpoint: %s\n",
                    status.ToString().c_str());
       return 1;
