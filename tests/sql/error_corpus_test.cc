@@ -3,6 +3,7 @@
 // Lexing is eager, so a lexical error anywhere in a statement is
 // reported before a grammar error that precedes it.
 
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,10 @@ struct CorpusCase {
 };
 
 using Input = CorpusCase::Input;
+
+// Without this, gtest prints a case as its raw bytes, pointers included,
+// and the discovered ctest names change with every build and load address.
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.name; }
 
 constexpr CorpusCase kCorpus[] = {
     {"StrayMinus", Input::kStatement,
