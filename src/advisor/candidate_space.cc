@@ -62,13 +62,11 @@ void CandidateSpace::BuildIndex() {
     masks_[i] = MaskOf(configs_[i]);
   }
 
-  universe_fingerprint_ = kFnvOffset;
+  fingerprint_ = kFnvOffset;
   for (const IndexDef& def : universe_) {
-    universe_fingerprint_ = FnvMix(universe_fingerprint_, HashIndexDef(def));
+    fingerprint_ = FnvMix(fingerprint_, HashIndexDef(def));
   }
-  universe_fingerprint_ = FnvMix(universe_fingerprint_, universe_.size());
-
-  fingerprint_ = universe_fingerprint_;
+  fingerprint_ = FnvMix(fingerprint_, universe_.size());
   for (const uint64_t mask : masks_) {
     fingerprint_ = FnvMix(fingerprint_, mask);
   }

@@ -12,9 +12,8 @@ namespace cdpd {
 
 /// Canonical identifier of a configuration inside one CandidateSpace:
 /// its position in the pinned enumeration order. The solvers' DP
-/// tables, the dense cost matrices, and the persistent cost cache all
-/// address configurations by ConfigId (or by the packed bitmask below)
-/// instead of hashing materialized Configuration objects.
+/// tables and the dense cost matrices address configurations by
+/// ConfigId instead of hashing materialized Configuration objects.
 using ConfigId = uint32_t;
 
 /// The pinned candidate-configuration set of one design problem — the
@@ -27,15 +26,14 @@ using ConfigId = uint32_t;
 ///    (the sorted, duplicate-free union of every IndexDef appearing in
 ///    any member configuration; bit i set = universe()[i] present).
 ///
-/// The bitmask is the identity the persistent what-if cost cache keys
-/// on: two solves whose spaces draw from the same universe share cache
-/// entries for structurally identical configurations without ever
-/// hashing an IndexDef vector. Masks are exact — a bijection onto the
-/// member configurations — whenever the universe has at most 64
-/// indexes (exact_masks()); beyond that the mask of a configuration is
-/// a 64-bit FNV fingerprint of its index set instead, which keeps the
-/// packed representation usable but makes cache keying unsound, so the
-/// cost cache disables itself when exact_masks() is false.
+/// The what-if precompute turns masks into TRANS costs by bit
+/// arithmetic instead of diffing IndexDef vectors. Masks are exact — a
+/// bijection onto the member configurations — whenever the universe
+/// has at most 64 indexes (exact_masks()); beyond that the mask of a
+/// configuration is a 64-bit FNV fingerprint of its index set instead,
+/// which keeps the packed representation usable but not invertible, so
+/// the precompute then diffs configurations. (The what-if cost cache
+/// keys on the Configuration itself, not on its mask.)
 ///
 /// Immutable value type: cheap to copy (the configurations dominate),
 /// equality compares the pinned configuration list. The configuration
@@ -85,9 +83,8 @@ class CandidateSpace {
 
   /// The packed identity `config` *would* have in this space — exact
   /// bitmask when every index of `config` is in the universe (and
-  /// exact_masks()), fingerprint otherwise. Lets boundary
-  /// configurations (the initial design, a forced final design) join
-  /// mask-keyed lookups without being members.
+  /// exact_masks()), fingerprint otherwise. IdOf matches it against
+  /// the members' masks before comparing configurations.
   uint64_t MaskOf(const Configuration& config) const;
 
   /// The space over the first `n` member configurations, in the same
@@ -99,11 +96,7 @@ class CandidateSpace {
   /// given order (dominance pruning passes the surviving ConfigIds in
   /// ascending original order, so relative ConfigId order is
   /// preserved). Like Prefix, the universe is re-derived from the
-  /// survivors — when a dropped configuration held the only occurrence
-  /// of some index, the subset's masks are assigned over a smaller
-  /// universe and its universe_fingerprint changes (the cost cache
-  /// then keys the subset's probes separately; a *stable* subset
-  /// reused across solves still shares entries with itself).
+  /// survivors, so masks stay minimal.
   CandidateSpace Subset(const std::vector<ConfigId>& ids) const;
 
   /// ConfigId of `config` if it is a member (linear scan over masks
@@ -114,14 +107,6 @@ class CandidateSpace {
   /// 64-bit identity of the whole space (universe + pinned masks) —
   /// distinguishes any two structurally different spaces.
   uint64_t fingerprint() const { return fingerprint_; }
-
-  /// 64-bit identity of the *universe* alone. This is what the cost
-  /// cache folds into its validity token: mask bit positions are
-  /// defined by the universe, so two solves enumerating different
-  /// config subsets of the same universe share cache entries, while a
-  /// universe change (which silently reassigns every bit) invalidates
-  /// them.
-  uint64_t universe_fingerprint() const { return universe_fingerprint_; }
 
   bool operator==(const CandidateSpace& other) const {
     return configs_ == other.configs_;
@@ -135,7 +120,6 @@ class CandidateSpace {
   std::vector<uint64_t> masks_;
   bool exact_masks_ = true;
   uint64_t fingerprint_ = 0;
-  uint64_t universe_fingerprint_ = 0;
 };
 
 }  // namespace cdpd

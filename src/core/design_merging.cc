@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/stopwatch.h"
 
@@ -94,6 +95,39 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     return std::move(fallback).value();
   };
 
+  // Every candidate's EXEC cells, priced once: a run's cost is then a
+  // forward sum of cells — the very doubles, in the very order,
+  // WhatIfEngine::RangeCost adds. A configuration outside the
+  // candidate space (a hand-built schedule's) goes through RangeCost.
+  ScopedReservation matrix_reservation;
+  CostMatrix exec;
+  if (initial_changes > k) {
+    matrix_reservation = ScopedReservation::Try(
+        ctx.tracker, MemComponent::kCostMatrix,
+        CostMatrix::EstimateBytes(problem.num_segments(),
+                                  problem.candidates.size()));
+    if (!matrix_reservation.ok()) {
+      return static_fallback(initial_changes, "memory-limit");
+    }
+    CDPD_ASSIGN_OR_RETURN(
+        exec, what_if.PrecomputeCostMatrix(problem.candidates, ctx.pool,
+                                           ctx.tracer, ctx.budget,
+                                           ctx.progress, ctx.logger,
+                                           ctx.tally));
+    if (!exec.complete()) return static_fallback(initial_changes, "deadline");
+  }
+  const auto exec_sum = [&](size_t begin, size_t end, ConfigId config) {
+    double cost = 0.0;
+    for (size_t s = begin; s < end; ++s) cost += exec.Exec(s, config);
+    return cost;
+  };
+  const auto run_cost = [&](const Run& run) {
+    const std::optional<ConfigId> id = problem.candidates.IdOf(run.config);
+    return id.has_value()
+               ? exec_sum(run.begin, run.end, *id)
+               : what_if.RangeCost(run.begin, run.end, run.config, ctx.tally);
+  };
+
   for (;;) {
     const int64_t changes = RunChanges(problem, runs);
     // Fraction of the excess changes merged away so far.
@@ -124,10 +158,10 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     }
 
     // Parallel phase: evaluate every (pair, replacement) penalty into
-    // a dense table (disjoint writes; the what-if memo cache is
-    // thread-safe). The winning cell is then picked by a serial scan
-    // in the serial iteration order, so ties break identically for
-    // any thread count.
+    // a dense table (disjoint writes; the cost matrix is read-only and
+    // the what-if memo thread-safe). The winning cell is then picked
+    // by a serial scan in the serial iteration order, so ties break
+    // identically for any thread count.
     const size_t num_pairs = runs.size() - 1;
     const size_t num_cands = problem.candidates.size();
     // This round's penalty tables, released when the round ends. A
@@ -147,11 +181,10 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       const Configuration& prev =
           i == 0 ? problem.initial : runs[i - 1].config;
       const bool has_next = i + 2 < runs.size();
-      double old_cost =
-          what_if.TransitionCost(prev, left.config) +
-          what_if.RangeCost(left.begin, left.end, left.config, ctx.tally) +
-          what_if.TransitionCost(left.config, right.config) +
-          what_if.RangeCost(right.begin, right.end, right.config, ctx.tally);
+      double old_cost = what_if.TransitionCost(prev, left.config) +
+                        run_cost(left) +
+                        what_if.TransitionCost(left.config, right.config) +
+                        run_cost(right);
       old_cost += has_next
                       ? what_if.TransitionCost(right.config, runs[i + 2].config)
                       : ExitCost(problem, right.config);
@@ -165,10 +198,10 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       const Configuration& prev =
           i == 0 ? problem.initial : runs[i - 1].config;
       const bool has_next = i + 2 < runs.size();
-      const Configuration& replacement = problem.candidates[cell % num_cands];
-      double new_cost =
-          what_if.TransitionCost(prev, replacement) +
-          what_if.RangeCost(left.begin, right.end, replacement, ctx.tally);
+      const auto replacement_id = static_cast<ConfigId>(cell % num_cands);
+      const Configuration& replacement = problem.candidates[replacement_id];
+      double new_cost = what_if.TransitionCost(prev, replacement) +
+                        exec_sum(left.begin, right.end, replacement_id);
       new_cost += has_next
                       ? what_if.TransitionCost(replacement, runs[i + 2].config)
                       : ExitCost(problem, replacement);

@@ -223,7 +223,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(
                     configs, ctx.pool, ctx.tracer, ctx.budget, ctx.progress,
-                    ctx.logger, ctx.cost_cache, ctx.tracker, ctx.tally));
+                    ctx.logger, ctx.tally));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "

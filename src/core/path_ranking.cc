@@ -167,8 +167,7 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(
                     problem.candidates, ctx.pool, ctx.tracer, ctx.budget,
-                    ctx.progress, ctx.logger, ctx.cost_cache, ctx.tracker,
-                    ctx.tally));
+                    ctx.progress, ctx.logger, ctx.tally));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(

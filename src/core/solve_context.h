@@ -7,7 +7,6 @@
 #include "common/resource_tracker.h"
 #include "common/thread_pool.h"
 #include "common/tracing.h"
-#include "cost/cost_cache.h"
 #include "cost/probe_tally.h"
 
 namespace cdpd {
@@ -39,12 +38,11 @@ namespace cdpd {
 ///    reservation its soft limit refuses degrades through the same
 ///    anytime machinery as a deadline instead of allocating past
 ///    budget.
-///  * `cost_cache` is the persistent cross-solve what-if cache the
-///    precompute reads and fills (cost/cost_cache.h); it changes probe
-///    counts, never costs.
-///  * `tally` receives this call's own probe traffic — costings and
-///    cache hits/misses/evictions — exact even while other callers
-///    share the engine or the cache.
+///  * `tally` lends every what-if probe of the call the caller's cost
+///    cache, if any (SolveOptions::cost_cache; cost/cost_cache.h),
+///    which changes probe counts, never costs. It receives this call's
+///    own probe traffic — costings and memo hits/misses/evictions —
+///    exact even while other callers share the engine or the cache.
 struct SolveContext {
   ThreadPool* pool = nullptr;
   Tracer* tracer = nullptr;
@@ -52,7 +50,6 @@ struct SolveContext {
   const ProgressFn* progress = nullptr;
   Logger* logger = nullptr;
   ResourceTracker* tracker = nullptr;
-  CostCache* cost_cache = nullptr;
   ProbeTally* tally = nullptr;
 
   /// Worker count the phases run on (1 without a pool).

@@ -186,19 +186,19 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   const Stopwatch watch;
 
   // Every sub-solver this call dispatches shares one context. The
-  // tally counts this call's own probes — costings, and cost-cache
-  // hits, misses and evictions — where they happen, so compound
-  // methods (hybrid, greedy-seq, merging) never double count and
-  // concurrent callers sharing the engine or the cache never see each
-  // other's traffic.
-  ProbeTally tally;
+  // tally lends every what-if probe the caller's cost cache (charged
+  // to this solve's tracker) and counts this call's own probes —
+  // costings, and memo hits, misses and evictions — where they happen,
+  // so compound methods (hybrid, greedy-seq, merging) never double
+  // count and concurrent callers sharing the engine or the cache never
+  // see each other's traffic.
+  ProbeTally tally{.cache = options.cost_cache, .tracker = &tracker};
   const SolveContext ctx{.pool = pool,
                          .tracer = tracer,
                          .budget = budget,
                          .progress = progress,
                          .logger = logger,
                          .tracker = &tracker,
-                         .cost_cache = options.cost_cache,
                          .tally = &tally};
 
   // Dominance pruning runs before dispatch so every method sees the

@@ -130,10 +130,11 @@ struct SolveOptions {
   std::optional<int64_t> memory_limit_bytes;
 
   /// Persistent what-if cost cache (optional, borrowed — must outlive
-  /// the Solve call). When set, the precompute answers per-statement
-  /// probes from the cache and inserts what it had to cost, so a
-  /// second Solve() over an unchanged cost model and candidate
-  /// universe is nearly costing-free. The cache self-invalidates on a
+  /// the Solve call). When set, every what-if probe of the solve
+  /// answers per-statement prices from the cache and inserts what it
+  /// had to cost, so a second Solve() over an unchanged cost model is
+  /// nearly costing-free; otherwise the probes use the engine's own
+  /// memo. The cache self-invalidates on a
   /// cost-model change (see cost/cost_cache.h), may be shared by
   /// concurrent solves, and its growth during this solve is charged
   /// against memory_limit_bytes under MemComponent::kCostCache.

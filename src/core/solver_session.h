@@ -19,9 +19,8 @@ struct SessionOptions {
   /// ThreadPool::DefaultThreadCount(); 1 = serial (no pool is built).
   int num_threads = 0;
   /// Own a persistent what-if CostCache and thread it into every
-  /// solve, so repeated solves over an unchanged cost model and
-  /// candidate universe are nearly costing-free. The cache
-  /// self-invalidates on a model or universe change (see
+  /// solve, so repeated solves over an unchanged cost model are nearly
+  /// costing-free. The cache self-invalidates on a model change (see
   /// cost/cost_cache.h); disable when statements never repeat.
   bool enable_cost_cache = true;
   /// Byte cap of the owned cache; <= 0 = unbounded.

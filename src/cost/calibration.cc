@@ -6,7 +6,7 @@
 
 #include "common/math_util.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
+#include "common/resource_tracker.h"
 #include "common/string_util.h"
 
 namespace cdpd {
@@ -15,19 +15,22 @@ namespace {
 
 constexpr double kMinSecondsPerUnit = 1e-12;
 
-/// Median wall time of `fn` over `repetitions` runs.
+/// Median CPU time of `fn` on the calling thread over `repetitions`
+/// runs. Thread CPU time, not wall time: the time a busy host keeps
+/// the thread descheduled is not the probe's cost.
 template <typename Fn>
 double MedianSeconds(int repetitions, Fn&& fn) {
-  std::vector<double> times;
-  times.reserve(static_cast<size_t>(repetitions));
+  std::vector<int64_t> micros;
+  micros.reserve(static_cast<size_t>(repetitions));
   for (int i = 0; i < repetitions; ++i) {
-    Stopwatch watch;
+    const int64_t start = ThreadCpuTimeMicros();
     fn();
-    times.push_back(watch.ElapsedSeconds());
+    micros.push_back(ThreadCpuTimeMicros() - start);
   }
-  std::nth_element(times.begin(), times.begin() + repetitions / 2,
-                   times.end());
-  return times[static_cast<size_t>(repetitions / 2)];
+  std::nth_element(micros.begin(), micros.begin() + repetitions / 2,
+                   micros.end());
+  return static_cast<double>(micros[static_cast<size_t>(repetitions / 2)]) /
+         1e6;
 }
 
 }  // namespace

@@ -2,6 +2,40 @@
 
 namespace cdpd {
 
+BoundStatement StatementShape::Representative() const {
+  BoundStatement statement;
+  statement.type = type;
+  statement.select_column = select_column;
+  statement.where_column = where_column;
+  statement.set_column = set_column;
+  statement.where_lo = where_lo;
+  statement.where_hi = where_hi;
+  statement.insert_values.assign(insert_arity, 0);
+  return statement;
+}
+
+size_t CostCache::KeyHash::operator()(KeyView key) const {
+  const StatementShape& shape = *key.shape;
+  uint64_t h = ConfigurationHash()(*key.config);
+  for (const uint64_t field :
+       {static_cast<uint64_t>(shape.type),
+        static_cast<uint64_t>(shape.select_column),
+        static_cast<uint64_t>(shape.where_column),
+        static_cast<uint64_t>(shape.set_column),
+        static_cast<uint64_t>(shape.where_lo),
+        static_cast<uint64_t>(shape.where_hi),
+        static_cast<uint64_t>(shape.insert_arity)}) {
+    h = (h ^ field) * 0x100000001b3ULL;
+  }
+  // splitmix64 finalizer: spread the folded words over the shard index.
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return static_cast<size_t>(h);
+}
+
 bool CostCache::EnsureValid(uint64_t token, ResourceTracker* tracker,
                             ProbeTally* tally) {
   if (token_.load(std::memory_order_acquire) == token) return false;
@@ -32,21 +66,6 @@ bool CostCache::EnsureValid(uint64_t token, ResourceTracker* tracker,
     invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
   token_.store(token, std::memory_order_release);
-  return true;
-}
-
-bool CostCache::Lookup(uint64_t statement_fp, uint64_t config_mask,
-                       double* cost) const {
-  const Key key{statement_fp, config_mask};
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *cost = it->second;
   return true;
 }
 
@@ -87,46 +106,6 @@ void CostCache::EvictForSpace(int64_t needed, ResourceTracker* tracker,
     tracker->ReleaseUpTo(MemComponent::kCostCache,
                          dropped_total * kEntryBytes);
   }
-}
-
-bool CostCache::Insert(uint64_t statement_fp, uint64_t config_mask,
-                       double cost, ResourceTracker* tracker,
-                       ProbeTally* tally) {
-  const Key key{statement_fp, config_mask};
-  Shard& shard = ShardFor(key);
-  {
-    // Fast path: overwrite in place (no growth, no charge).
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      it->second = cost;
-      return true;
-    }
-  }
-  if (max_bytes_ > 0 && ApproxBytes() + kEntryBytes > max_bytes_) {
-    EvictForSpace(kEntryBytes, tracker, tally);
-    if (ApproxBytes() + kEntryBytes > max_bytes_) return false;
-  }
-  // Charge the solve's budget before growing; a refusal trips the
-  // tracker's limit flag (anytime degradation) and skips the insert.
-  if (tracker != nullptr &&
-      !tracker->TryReserve(MemComponent::kCostCache, kEntryBytes)) {
-    return false;
-  }
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    inserted = shard.map.emplace(key, cost).second;
-    if (!inserted) shard.map[key] = cost;
-  }
-  if (inserted) {
-    entries_.fetch_add(1, std::memory_order_relaxed);
-  } else if (tracker != nullptr) {
-    // Lost an insert race: the entry was already charged by the
-    // winner; return this call's reservation.
-    tracker->Release(MemComponent::kCostCache, kEntryBytes);
-  }
-  return true;
 }
 
 void CostCache::PublishTo(MetricsRegistry* registry) const {

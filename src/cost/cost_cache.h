@@ -3,44 +3,83 @@
 
 #include <array>
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
 
+#include "catalog/configuration.h"
 #include "common/metrics.h"
 #include "common/resource_tracker.h"
 #include "cost/probe_tally.h"
+#include "workload/statement.h"
 
 namespace cdpd {
 
-/// Persistent what-if cost cache: (statement fingerprint, configuration
-/// bitmask) -> per-statement estimated cost. Unlike the WhatIfEngine's
-/// per-instance memo (which dies with the engine and hashes whole
-/// Configuration objects), a CostCache outlives individual Solve()
-/// calls: a caller owns one, passes it via SolveOptions::cost_cache,
-/// and every solve over the same cost model and candidate universe
-/// reuses the costs of earlier solves — a warm re-solve of an
-/// unchanged workload answers essentially every what-if probe from the
-/// cache and its latency is dominated by the DP, not costing.
+/// A statement with its literals erased: exactly the fields its
+/// estimated cost depends on. Point and SET values are dropped, a range
+/// keeps only its width (where_lo = 0, where_hi = width), an INSERT
+/// only its arity. Statements of equal shape cost the same under every
+/// configuration, so the what-if profiles collapse a segment into
+/// (shape, count) pairs and the cost cache keys on the shape.
+struct StatementShape {
+  StatementType type = StatementType::kSelectPoint;
+  ColumnId select_column = 0;
+  ColumnId where_column = 0;
+  ColumnId set_column = 0;
+  Value where_lo = 0;
+  Value where_hi = 0;
+  size_t insert_arity = 0;
+
+  static StatementShape Of(const BoundStatement& statement) {
+    StatementShape shape;
+    shape.type = statement.type;
+    shape.select_column = statement.select_column;
+    shape.where_column = statement.where_column;
+    shape.set_column = statement.set_column;
+    shape.where_lo = statement.where_lo;
+    shape.where_hi = statement.where_hi;
+    if (statement.type == StatementType::kSelectRange) {
+      // Range cost depends only on the width; normalize the position.
+      shape.where_hi = statement.where_hi - statement.where_lo;
+      shape.where_lo = 0;
+    }
+    shape.insert_arity = statement.insert_values.size();
+    return shape;
+  }
+  /// The literal-free statement the cost model prices for this shape.
+  BoundStatement Representative() const;
+
+  auto operator<=>(const StatementShape&) const = default;
+};
+
+/// The what-if cost memo: (statement shape, configuration) -> the
+/// per-statement estimated cost. It is the only place a what-if cost
+/// is memoized. Every WhatIfEngine probe (ShapeCost, SegmentCost,
+/// RangeCost, PrecomputeCostMatrix) prices each pair it needs through
+/// GetOrCompute once and builds EXEC(S_i, C) as a count-weighted sum
+/// of those prices. A call uses the cache its ProbeTally lends (a
+/// caller-owned one passed via SolveOptions::cost_cache or a
+/// SolverSession, which outlives the engine, so a warm re-solve of an
+/// unchanged workload answers essentially every probe from it) or else
+/// the engine's own, which dies with the engine.
 ///
-/// Keys. The statement fingerprint identifies a literal-erased
-/// statement *shape* (the unit the what-if profiles collapse segments
-/// into); the configuration bitmask is the CandidateSpace packed
-/// identity. Both are 64-bit. Keying is sound only while masks are
-/// exact (CandidateSpace::exact_masks()); the engine skips the cache
-/// otherwise.
+/// Keys are exact on both halves — the shape's fields and the
+/// Configuration by value — so any configuration can be priced: a
+/// candidate, the initial design, a WHATIF spec or a design
+/// GREEDY-SEQ grows, whatever candidate space it belongs to.
 ///
 /// Invalidation. Cached costs are valid for exactly one cost-model
 /// state. EnsureValid(token) compares the caller's validity token —
-/// the WhatIfEngine derives it from CostModel::Fingerprint(), which
-/// covers the schema, the row count, the cost parameters, and any
-/// attached TableStats — and clears the cache (counting the dropped
-/// entries as evictions and bumping invalidations()) when it changed:
-/// a catalog or table-stats change silently refreshes rather than
-/// serving stale costs.
+/// the WhatIfEngine passes CostModel::Fingerprint(), which covers the
+/// schema, the row count, the cost parameters, and any attached
+/// TableStats — and clears the cache (counting the dropped entries as
+/// evictions and bumping invalidations()) when it changed: a catalog
+/// or table-stats change silently refreshes rather than serving stale
+/// costs.
 ///
-/// Memory. Entries are accounted at kEntryBytes apiece (key + value +
-/// amortized hash-table overhead). Two budgets apply:
+/// Memory. Entries are accounted at kEntryBytes apiece. Two budgets
+/// apply:
 ///  * the cache's own `max_bytes` (constructor; 0 = unbounded): an
 ///    insert that would pass it evicts whole shards (coarse,
 ///    deterministic sweep order) until the new entry fits;
@@ -64,15 +103,17 @@ class CostCache {
   CostCache(const CostCache&) = delete;
   CostCache& operator=(const CostCache&) = delete;
 
-  /// Accounted bytes per entry: 16-byte key + 8-byte value + amortized
-  /// node/bucket overhead of the unordered_map shards.
-  static constexpr int64_t kEntryBytes = 64;
+  /// Accounted bytes per entry: the key (shape + configuration) and
+  /// value, the node and bucket overhead of the unordered_map shards,
+  /// and the configuration's index vectors (estimated for a
+  /// configuration of two single- or two-column indexes).
+  static constexpr int64_t kEntryBytes = 256;
 
   /// Drops every entry unless the cache is already valid for `token`.
   /// Returns true when the cache was (re)validated by clearing, false
-  /// when it was already valid. Call before a batch of Lookup/Insert
-  /// against one cost-model state. `tracker` (optional) is the calling
-  /// solve's ResourceTracker: the dropped entries' accounted bytes are
+  /// when it was already valid. Call before a batch of probes against
+  /// one cost-model state. `tracker` (optional) is the calling solve's
+  /// ResourceTracker: the dropped entries' accounted bytes are
   /// returned to it under MemComponent::kCostCache, clamped to what
   /// that tracker is actually carrying (entries charged by an earlier,
   /// possibly dead tracker release nothing — see
@@ -81,59 +122,55 @@ class CostCache {
   bool EnsureValid(uint64_t token, ResourceTracker* tracker = nullptr,
                    ProbeTally* tally = nullptr);
 
-  /// Cached cost of (statement fingerprint, config mask), if present.
-  /// Counts a hit or a miss.
-  bool Lookup(uint64_t statement_fp, uint64_t config_mask,
-              double* cost) const;
-
-  /// Inserts a computed cost. `tracker` (optional) is the charging
-  /// solve's ResourceTracker: the entry's bytes are reserved under
-  /// MemComponent::kCostCache first, and a refusal (the solve's soft
-  /// memory limit would be passed) skips the insert entirely — the
-  /// cache never grows past a solve's budget. Returns true when the
-  /// entry was stored. Idempotent for an existing key (no double
-  /// charge; last write wins, and all writers compute the same value
-  /// for a given validity token). `tally` (optional) is charged the
-  /// entries this insert evicts to stay under max_bytes.
-  bool Insert(uint64_t statement_fp, uint64_t config_mask, double cost,
-              ResourceTracker* tracker = nullptr,
-              ProbeTally* tally = nullptr);
-
-  /// Cached cost of (statement fingerprint, config mask); on a miss
-  /// `compute()` prices it and the result is inserted under Insert's
-  /// budget rules. The key's shard stays locked across the computation
-  /// (`compute` must not touch the cache), so concurrent probes of one
-  /// key price it once: the first misses, the rest wait and hit. A key
-  /// therefore misses at most once while resident, however many solves
-  /// and workers share the cache. Counts the hit or miss like Lookup;
-  /// returns true on a hit.
+  /// The cost of `shape` under `config`: the cached value, or on a
+  /// miss `compute()`'s result, inserted under the budget rules above.
+  /// The key's shard stays locked across the computation (`compute`
+  /// must not touch the cache), so concurrent probes of one key price
+  /// it once: the first misses, the rest wait and hit. A key therefore
+  /// misses at most once while resident, however many solves and
+  /// workers share the cache. The hit or miss is counted here and in
+  /// `tally` (optional); `tracker` (optional) is charged the insert, and
+  /// `tally` the entries evicted to make room for it.
   template <typename Compute>
-  bool GetOrCompute(uint64_t statement_fp, uint64_t config_mask,
-                    Compute&& compute, double* cost,
-                    ResourceTracker* tracker = nullptr,
-                    ProbeTally* tally = nullptr) {
-    const Key key{statement_fp, config_mask};
-    Shard& shard = ShardFor(key);
+  double GetOrCompute(const StatementShape& shape, const Configuration& config,
+                      Compute&& compute, ResourceTracker* tracker = nullptr,
+                      ProbeTally* tally = nullptr) {
+    const KeyView key{&shape, &config};
+    Shard& shard = shards_[KeyHash()(key) % kShards];
     std::unique_lock<std::mutex> lock(shard.mu);
     if (const auto it = shard.map.find(key); it != shard.map.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      *cost = it->second;
-      return true;
+      if (tally != nullptr) {
+        tally->hits.fetch_add(1, std::memory_order_relaxed);
+      }
+      return it->second;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    *cost = compute();
+    if (tally != nullptr) {
+      tally->misses.fetch_add(1, std::memory_order_relaxed);
+    }
+    const double cost = compute();
     if (max_bytes_ > 0 && ApproxBytes() + kEntryBytes > max_bytes_) {
-      // Eviction sweeps other shards' locks: take the general path.
+      // Eviction sweeps other shards' locks: drop ours first.
       lock.unlock();
-      Insert(statement_fp, config_mask, *cost, tracker, tally);
-      return false;
+      EvictForSpace(kEntryBytes, tracker, tally);
+      if (ApproxBytes() + kEntryBytes > max_bytes_) return cost;
+      lock.lock();
     }
-    if (tracker == nullptr ||
-        tracker->TryReserve(MemComponent::kCostCache, kEntryBytes)) {
-      shard.map.emplace(key, *cost);
+    // Charge the solve's budget before growing; a refusal trips the
+    // tracker's limit flag (anytime degradation) and skips the insert.
+    if (tracker != nullptr &&
+        !tracker->TryReserve(MemComponent::kCostCache, kEntryBytes)) {
+      return cost;
+    }
+    if (shard.map.try_emplace(Key{shape, config}, cost).second) {
       entries_.fetch_add(1, std::memory_order_relaxed);
+    } else if (tracker != nullptr) {
+      // Another prober inserted the key while the eviction sweep had
+      // the shard unlocked; return this call's reservation.
+      tracker->Release(MemComponent::kCostCache, kEntryBytes);
     }
-    return false;
+    return cost;
   }
 
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -167,32 +204,34 @@ class CostCache {
 
  private:
   struct Key {
-    uint64_t statement_fp = 0;
-    uint64_t config_mask = 0;
-    bool operator==(const Key&) const = default;
+    StatementShape shape;
+    Configuration config;
+  };
+  // Probes look keys up through a view, so a hit copies no
+  // Configuration; only an insert materializes a Key.
+  struct KeyView {
+    KeyView(const StatementShape* shape, const Configuration* config)
+        : shape(shape), config(config) {}
+    KeyView(const Key& key)  // NOLINT(runtime/explicit)
+        : shape(&key.shape), config(&key.config) {}
+    const StatementShape* shape;
+    const Configuration* config;
   };
   struct KeyHash {
-    size_t operator()(const Key& key) const {
-      // splitmix64-style mix of the two halves; both inputs are
-      // already well-spread 64-bit values.
-      uint64_t x = key.statement_fp ^ (key.config_mask * 0x9e3779b97f4a7c15ULL);
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebULL;
-      x ^= x >> 31;
-      return static_cast<size_t>(x);
+    using is_transparent = void;
+    size_t operator()(KeyView key) const;
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(KeyView a, KeyView b) const {
+      return *a.shape == *b.shape && *a.config == *b.config;
     }
   };
   struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, double, KeyHash> map;
+    std::mutex mu;
+    std::unordered_map<Key, double, KeyHash, KeyEqual> map;
   };
   static constexpr size_t kShards = 32;
-
-  Shard& ShardFor(const Key& key) const {
-    return shards_[KeyHash()(key) % kShards];
-  }
 
   /// Evicts whole shards — resuming from where the previous sweep
   /// stopped (a rotating cursor, so repeated cap-pressure episodes
@@ -208,11 +247,11 @@ class CostCache {
 
   const int64_t max_bytes_;
   std::atomic<size_t> sweep_cursor_{0};
-  mutable std::array<Shard, kShards> shards_;
+  std::array<Shard, kShards> shards_;
   std::atomic<uint64_t> token_{0};
   std::atomic<int64_t> entries_{0};
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> invalidations_{0};
   std::mutex validate_mu_;

@@ -31,6 +31,12 @@ CostModel::CostModel(Schema schema, int64_t num_rows, int64_t domain_size,
       params_(params) {
   assert(num_rows_ >= 0);
   assert(domain_size_ > 0);
+  fingerprint_ = ComputeFingerprint();
+}
+
+void CostModel::SetTableStats(const TableStats* stats) {
+  stats_ = stats;
+  fingerprint_ = ComputeFingerprint();
 }
 
 double CostModel::ExpectedMatches() const {
@@ -267,7 +273,7 @@ uint64_t FingerprintMixDouble(uint64_t hash, double value) {
 
 }  // namespace
 
-uint64_t CostModel::Fingerprint() const {
+uint64_t CostModel::ComputeFingerprint() const {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (const std::string& name : schema_.column_names()) {
     for (const char c : name) {

@@ -81,8 +81,9 @@ class CostModel {
   /// Attaches measured per-column statistics (not owned; may be
   /// nullptr to detach). When set, selectivity estimates use column
   /// densities and histograms instead of the uniform-domain
-  /// assumption.
-  void SetTableStats(const TableStats* stats) { stats_ = stats; }
+  /// assumption. The stats' content at attach time is what
+  /// Fingerprint() covers.
+  void SetTableStats(const TableStats* stats);
   const TableStats* table_stats() const { return stats_; }
 
   /// Expected matching rows of a point predicate (uniform assumption).
@@ -131,13 +132,15 @@ class CostModel {
   /// and the content of any attached TableStats. The persistent
   /// CostCache (cost/cost_cache.h) uses this as its validity token, so
   /// a catalog or table-stats change invalidates cached costs instead
-  /// of serving stale ones.
-  uint64_t Fingerprint() const;
+  /// of serving stale ones. Computed at construction and on every
+  /// SetTableStats, so reading it costs nothing.
+  uint64_t Fingerprint() const { return fingerprint_; }
 
  private:
   double SelectCost(ColumnId select_column, ColumnId where_column,
                     double matches, const Configuration& config,
                     AccessPathChoice* choice) const;
+  uint64_t ComputeFingerprint() const;
   double PathCost(AccessPathKind kind, const IndexDef& index,
                   double matches) const;
   double MaintenanceCost(const BoundStatement& statement,
@@ -148,6 +151,7 @@ class CostModel {
   int64_t domain_size_;
   CostParams params_;
   const TableStats* stats_ = nullptr;  // Optional, not owned.
+  uint64_t fingerprint_ = 0;
 };
 
 }  // namespace cdpd

@@ -3,55 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <string>
 
 namespace cdpd {
-
-namespace {
-
-/// Erases the literal values of a statement, keeping only the shape
-/// that determines its estimated cost.
-BoundStatement ShapeOf(const BoundStatement& statement) {
-  BoundStatement shape = statement;
-  shape.where_value = 0;
-  shape.set_value = 0;
-  if (shape.type == StatementType::kSelectRange) {
-    // Range cost depends only on the width; normalize the position.
-    shape.where_hi = shape.where_hi - shape.where_lo;
-    shape.where_lo = 0;
-  }
-  if (shape.type == StatementType::kInsert) {
-    shape.insert_values.assign(shape.insert_values.size(), 0);
-  }
-  return shape;
-}
-
-/// 64-bit FNV-1a identity of a literal-erased statement shape — the
-/// statement half of the persistent cost cache's key. Hashes every
-/// cost-relevant field of the (already normalized) shape.
-uint64_t ShapeFingerprint(const BoundStatement& shape) {
-  constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xff;
-      hash *= kFnvPrime;
-    }
-  };
-  mix(static_cast<uint64_t>(shape.type));
-  mix(static_cast<uint64_t>(shape.select_column));
-  mix(static_cast<uint64_t>(shape.where_column));
-  mix(static_cast<uint64_t>(shape.where_lo));
-  mix(static_cast<uint64_t>(shape.where_hi));
-  mix(static_cast<uint64_t>(shape.set_column));
-  mix(shape.insert_values.size());
-  return hash;
-}
-
-}  // namespace
 
 void CostMatrix::Finalize() {
   const size_t n = num_segments_;
@@ -77,151 +34,99 @@ WhatIfEngine::WhatIfEngine(const CostModel* model,
                            std::vector<Segment> segments)
     : model_(model), segments_(std::move(segments)) {
   profiles_.resize(segments_.size());
+  // Construction-time index from a shape to its workload_profile_
+  // slot. Shapes get slots in first-appearance order — segment order,
+  // then statement order — so the profiles are deterministic for a
+  // given statement sequence.
+  std::map<StatementShape, size_t> slot_of;
+  std::vector<StatementShape> local;  // The current segment's shapes.
   for (size_t s = 0; s < segments_.size(); ++s) {
     const Segment& segment = segments_[s];
     assert(segment.begin <= segment.end && segment.end <= statements.size());
-    std::vector<ProfileEntry>& profile = profiles_[s];
+    std::vector<ProfileTerm>& profile = profiles_[s];
+    local.clear();
     for (size_t i = segment.begin; i < segment.end; ++i) {
-      const BoundStatement shape = ShapeOf(statements[i]);
-      bool found = false;
-      for (ProfileEntry& entry : profile) {
-        if (entry.representative == shape) {
-          ++entry.count;
-          found = true;
-          break;
-        }
+      const StatementShape shape = StatementShape::Of(statements[i]);
+      const auto seen = std::find(local.begin(), local.end(), shape);
+      if (seen != local.end()) {
+        ++profile[static_cast<size_t>(seen - local.begin())].count;
+        continue;
       }
-      if (!found) {
-        profile.push_back(ProfileEntry{shape, 1, ShapeFingerprint(shape)});
-      }
+      const auto [slot, fresh] =
+          slot_of.try_emplace(shape, workload_profile_.size());
+      if (fresh) workload_profile_.push_back(WorkloadShape{shape, 0});
+      local.push_back(shape);
+      profile.push_back(ProfileTerm{slot->second, 1});
     }
-  }
-  // Workload-wide profile: the per-segment profiles merged by
-  // fingerprint (with a full equality check so a fingerprint collision
-  // cannot merge distinct shapes), keeping first-appearance order —
-  // segment order, then within-segment profile order — so the profile
-  // is deterministic for a given statement sequence.
-  std::unordered_map<uint64_t, std::vector<size_t>> by_fingerprint;
-  for (const std::vector<ProfileEntry>& profile : profiles_) {
-    for (const ProfileEntry& entry : profile) {
-      bool merged = false;
-      for (const size_t at : by_fingerprint[entry.fingerprint]) {
-        if (workload_profile_[at].representative == entry.representative) {
-          workload_profile_[at].count += entry.count;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) {
-        by_fingerprint[entry.fingerprint].push_back(workload_profile_.size());
-        workload_profile_.push_back(WorkloadShape{
-            entry.representative, entry.count, entry.fingerprint});
-      }
+    for (const ProfileTerm& term : profile) {
+      workload_profile_[term.shape].count += term.count;
     }
   }
 }
 
-void WhatIfEngine::CountCostings(int64_t costed, ProbeTally* tally) const {
-  costings_.fetch_add(costed, std::memory_order_relaxed);
-  if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-    sink->Add(costed);
+WhatIfEngine::Memo WhatIfEngine::MemoFor(ProbeTally* tally) const {
+  Memo memo{&memo_, nullptr};
+  if (tally != nullptr && tally->cache != nullptr) {
+    memo = Memo{tally->cache, tally->tracker};
   }
-  if (tally != nullptr) {
-    tally->costings.fetch_add(costed, std::memory_order_relaxed);
-  }
+  // The token covers everything a statement cost depends on: the
+  // schema, rows, parameters and table stats.
+  const uint64_t token = model_->Fingerprint();
+  // 0 is CostCache's never-validated state.
+  memo.cache->EnsureValid(token == 0 ? 1 : token, memo.tracker, tally);
+  return memo;
+}
+
+double WhatIfEngine::Price(const Memo& memo, const StatementShape& shape,
+                           const Configuration& config,
+                           ProbeTally* tally) const {
+  return memo.cache->GetOrCompute(
+      shape, config,
+      [&] {
+        costings_.fetch_add(1, std::memory_order_relaxed);
+        if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
+          sink->Add(1);
+        }
+        if (tally != nullptr) {
+          tally->costings.fetch_add(1, std::memory_order_relaxed);
+        }
+        return model_->StatementCost(shape.Representative(), config);
+      },
+      memo.tracker, tally);
 }
 
 double WhatIfEngine::ShapeCost(const WorkloadShape& shape,
                                const Configuration& config,
                                ProbeTally* tally) const {
-  CountCostings(1, tally);
-  return model_->StatementCost(shape.representative, config);
-}
-
-double WhatIfEngine::ComputeSegmentCost(size_t segment,
-                                        const Configuration& config,
-                                        ProbeTally* tally) const {
-  Histogram* const latency_sink =
-      metrics_segment_cost_us_.load(std::memory_order_relaxed);
-  const auto start = latency_sink != nullptr
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  double cost = 0.0;
-  int64_t costed = 0;
-  for (const ProfileEntry& entry : profiles_[segment]) {
-    cost += static_cast<double>(entry.count) *
-            model_->StatementCost(entry.representative, config);
-    ++costed;
-  }
-  CountCostings(costed, tally);
-  if (latency_sink != nullptr) {
-    latency_sink->Record(std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
-  }
-  return cost;
-}
-
-double WhatIfEngine::CachedSegmentCost(size_t segment,
-                                       const Configuration& config,
-                                       uint64_t config_mask, CostCache* cache,
-                                       ResourceTracker* tracker,
-                                       ProbeTally* tally) const {
-  double cost = 0.0;
-  int64_t costed = 0;
-  for (const ProfileEntry& entry : profiles_[segment]) {
-    double statement_cost = 0.0;
-    const bool hit = cache->GetOrCompute(
-        entry.fingerprint, config_mask,
-        [&] { return model_->StatementCost(entry.representative, config); },
-        &statement_cost, tracker, tally);
-    if (!hit) ++costed;
-    // Summing in profile order, like ComputeSegmentCost: a cached
-    // value is the exact double a miss computed, so the assembled cell
-    // is bit-identical however the hit/miss pattern falls.
-    cost += static_cast<double>(entry.count) * statement_cost;
-  }
-  if (tally != nullptr) {
-    const auto probes = static_cast<int64_t>(profiles_[segment].size());
-    if (probes > costed) {
-      tally->hits.fetch_add(probes - costed, std::memory_order_relaxed);
-    }
-    if (costed > 0) tally->misses.fetch_add(costed, std::memory_order_relaxed);
-  }
-  if (costed > 0) CountCostings(costed, tally);
-  return cost;
+  return Price(MemoFor(tally), shape.shape, config, tally);
 }
 
 double WhatIfEngine::SegmentCost(size_t segment, const Configuration& config,
                                  ProbeTally* tally) const {
   assert(segment < segments_.size());
-  CacheShard& shard = ShardFor(segment, config);
-  // The shard lock is held across the (pure) computation so each
-  // distinct (segment, config) pair is costed exactly once — costings()
-  // is then independent of the thread count. Distinct pairs land on
-  // distinct shards with high probability, so concurrent probes still
-  // proceed in parallel.
-  std::lock_guard<std::mutex> lock(shard.mu);
-  CacheKey key{segment, config};
-  if (auto it = shard.memo.find(key); it != shard.memo.end()) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* sink = metrics_cache_hits_.load(std::memory_order_relaxed)) {
-      sink->Add(1);
-    }
-    return it->second;
-  }
-  const double cost = ComputeSegmentCost(segment, config, tally);
-  shard.memo.emplace(std::move(key), cost);
-  return cost;
+  const Memo memo = MemoFor(tally);
+  // A shape occurs once per profile, so each is priced once.
+  return ProfileSum(segment, [&](size_t shape) {
+    return Price(memo, workload_profile_[shape].shape, config, tally);
+  });
 }
 
 double WhatIfEngine::RangeCost(size_t begin, size_t end,
                                const Configuration& config,
                                ProbeTally* tally) const {
   assert(begin <= end && end <= segments_.size());
+  const Memo memo = MemoFor(tally);
+  // Each shape is priced on first use and reused across the range.
+  std::vector<std::optional<double>> prices(workload_profile_.size());
   double cost = 0.0;
   for (size_t s = begin; s < end; ++s) {
-    cost += SegmentCost(s, config, tally);
+    cost += ProfileSum(s, [&](size_t shape) {
+      std::optional<double>& price = prices[shape];
+      if (!price.has_value()) {
+        price = Price(memo, workload_profile_[shape].shape, config, tally);
+      }
+      return *price;
+    });
   }
   return cost;
 }
@@ -258,80 +163,79 @@ class NonFiniteCell {
 Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     const CandidateSpace& candidates, ThreadPool* pool, Tracer* tracer,
     const Budget* budget, const ProgressFn* progress, Logger* logger,
-    CostCache* cost_cache, ResourceTracker* tracker,
     ProbeTally* tally) const {
   const size_t n = segments_.size();
   const size_t m = candidates.size();
+  const size_t num_shapes = workload_profile_.size();
   CostMatrix matrix(n, m);
-  // The persistent cache is sound only while config masks are exact
-  // bijections; with fingerprint masks (universe > 64) it is skipped
-  // and the fill runs through the engine memo exactly as before.
-  CostCache* cache =
-      (cost_cache != nullptr && candidates.exact_masks()) ? cost_cache
-                                                          : nullptr;
-  if (cache != nullptr) {
-    // The token covers everything a cached statement cost depends on:
-    // the cost-model state (schema, rows, params, table stats) and the
-    // universe that defines the masks' bit assignment.
-    uint64_t token = model_->Fingerprint();
-    token ^= candidates.universe_fingerprint() * 0x9e3779b97f4a7c15ULL;
-    if (token == 0) token = 1;  // 0 is CostCache's never-validated state.
-    cache->EnsureValid(token, tracker, tally);
-  }
+  const Memo memo = MemoFor(tally);
   CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.start",
            LogField("segments", n), LogField("configs", m),
+           LogField("shapes", num_shapes),
            LogField("exec_cells", n * m), LogField("trans_cells", m * m),
-           LogField("cost_cache", cache != nullptr));
+           LogField("cost_cache", memo.cache != &memo_));
   NonFiniteCell bad_exec;
   NonFiniteCell bad_trans;
-  const auto fill_exec = [&](size_t i) {
-    const size_t segment = i / m;
-    const size_t config = i % m;
-    const double cost =
-        cache != nullptr
-            ? CachedSegmentCost(segment, candidates[config],
-                                candidates.mask(config), cache, tracker,
-                                tally)
-            : SegmentCost(segment, candidates[config], tally);
-    if (!std::isfinite(cost)) bad_exec.Record(i);
-    matrix.MutableExec(segment, config) = cost;
-  };
-  // EXEC over all (segment, config) pairs: each flattened index writes
-  // one disjoint matrix cell, so the fill is race-free and the values
-  // are identical for any thread count. With a tracer or progress
-  // callback attached the same cells are filled through coarser work
-  // shards (one span / one progress update each); either way every
-  // cell computes the same value.
   bool complete = true;
-  const bool sharded = tracer != nullptr || progress != nullptr;
-  if (!sharded) {
-    complete = ParallelFor(pool, 0, n * m, fill_exec, budget);
-  } else {
+  {
     CDPD_TRACE_SPAN(tracer, "whatif.exec_matrix", "whatif",
                     static_cast<int64_t>(n * m));
-    const size_t threads = static_cast<size_t>(
-        std::max(1, pool == nullptr ? 1 : pool->num_threads()));
-    const size_t num_shards =
-        std::min(n * m, std::max<size_t>(1, threads * 4));
-    const size_t per_shard = (n * m + num_shards - 1) / num_shards;
-    std::atomic<size_t> shards_done{0};
+    // Every (shape, candidate) pair priced once through the memo: the
+    // |shapes| x m table each EXEC cell is a weighted sum over.
+    std::vector<double> prices(m * num_shapes);  // [config * shapes + shape]
     complete = ParallelFor(
-        pool, 0, num_shards,
-        [&](size_t shard) {
-          CDPD_TRACE_SPAN(tracer, "whatif.exec_shard", "whatif",
-                          static_cast<int64_t>(shard));
-          const size_t lo = shard * per_shard;
-          const size_t hi = std::min(n * m, lo + per_shard);
-          for (size_t i = lo; i < hi; ++i) fill_exec(i);
-          // Reported from whichever worker finishes the shard — the
-          // callback contract requires thread safety.
-          const size_t done =
-              shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
-          ReportProgress(progress, "whatif.precompute",
-                         static_cast<double>(done) /
-                             static_cast<double>(num_shards));
+        pool, 0, m,
+        [&](size_t config) {
+          for (size_t shape = 0; shape < num_shapes; ++shape) {
+            prices[config * num_shapes + shape] =
+                Price(memo, workload_profile_[shape].shape,
+                      candidates[config], tally);
+          }
         },
         budget);
+    const auto fill_exec = [&](size_t i) {
+      const size_t segment = i / m;
+      const size_t config = i % m;
+      const double* row = prices.data() + config * num_shapes;
+      const double cost =
+          ProfileSum(segment, [row](size_t shape) { return row[shape]; });
+      if (!std::isfinite(cost)) bad_exec.Record(i);
+      matrix.MutableExec(segment, config) = cost;
+    };
+    // EXEC over all (segment, config) pairs: each flattened index
+    // writes one disjoint matrix cell, so the fill is race-free and the
+    // values are identical for any thread count. With a tracer or
+    // progress callback attached the same cells are filled through
+    // coarser work shards (one span / one progress update each);
+    // either way every cell computes the same value.
+    const bool sharded = tracer != nullptr || progress != nullptr;
+    if (complete && !sharded) {
+      complete = ParallelFor(pool, 0, n * m, fill_exec, budget);
+    } else if (complete) {
+      const size_t threads = static_cast<size_t>(
+          std::max(1, pool == nullptr ? 1 : pool->num_threads()));
+      const size_t num_shards =
+          std::min(n * m, std::max<size_t>(1, threads * 4));
+      const size_t per_shard = (n * m + num_shards - 1) / num_shards;
+      std::atomic<size_t> shards_done{0};
+      complete = ParallelFor(
+          pool, 0, num_shards,
+          [&](size_t shard) {
+            CDPD_TRACE_SPAN(tracer, "whatif.exec_shard", "whatif",
+                            static_cast<int64_t>(shard));
+            const size_t lo = shard * per_shard;
+            const size_t hi = std::min(n * m, lo + per_shard);
+            for (size_t i = lo; i < hi; ++i) fill_exec(i);
+            // Reported from whichever worker finishes the shard — the
+            // callback contract requires thread safety.
+            const size_t done =
+                shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
+            ReportProgress(progress, "whatif.precompute",
+                           static_cast<double>(done) /
+                               static_cast<double>(num_shards));
+          },
+          budget);
+    }
   }
   // TRANS over all candidate pairs (pure model arithmetic; no memo).
   {
@@ -423,27 +327,14 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   }
   CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.end",
            LogField("complete", complete),
-           LogField("costings", costings()),
-           LogField("cache_hits", cache_hits()));
+           LogField("costings", costings()));
   return matrix;
 }
 
 void WhatIfEngine::SetMetrics(MetricsRegistry* registry) const {
   if constexpr (!kMetricsCompiledIn) return;
-  if (registry == nullptr) {
-    metrics_costings_.store(nullptr, std::memory_order_relaxed);
-    metrics_cache_hits_.store(nullptr, std::memory_order_relaxed);
-    metrics_segment_cost_us_.store(nullptr, std::memory_order_relaxed);
-    return;
-  }
-  // The registry hands out stable pointers, so concurrent attaches of
-  // the same registry store identical values.
-  metrics_costings_.store(registry->counter("whatif.costings"),
-                          std::memory_order_relaxed);
-  metrics_cache_hits_.store(registry->counter("whatif.cache_hits"),
-                            std::memory_order_relaxed);
-  metrics_segment_cost_us_.store(
-      registry->histogram("whatif.segment_cost_us"),
+  metrics_costings_.store(
+      registry != nullptr ? registry->counter("whatif.costings") : nullptr,
       std::memory_order_relaxed);
 }
 

@@ -1,12 +1,9 @@
 #ifndef CDPD_COST_WHAT_IF_H_
 #define CDPD_COST_WHAT_IF_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "advisor/candidate_space.h"
@@ -25,16 +22,14 @@
 namespace cdpd {
 
 /// One literal-erased statement shape aggregated over the *whole*
-/// workload: the representative statement, its total multiplicity
-/// across every segment, and its 64-bit fingerprint (the persistent
-/// cost cache's statement key). Because every segment's EXEC cost is a
-/// nonnegative-weighted sum of per-shape costs, any pointwise
-/// inequality over these shapes transfers to every segment — the fact
-/// dominance pruning (advisor/dominance.h) is built on.
+/// workload: the shape and its total multiplicity across every
+/// segment. Because every segment's EXEC cost is a nonnegative-weighted
+/// sum of per-shape costs, any pointwise inequality over these shapes
+/// transfers to every segment — the fact dominance pruning
+/// (advisor/dominance.h) is built on.
 struct WorkloadShape {
-  BoundStatement representative;
+  StatementShape shape;
   int64_t count = 0;
-  uint64_t fingerprint = 0;
 };
 
 /// Dense EXEC/TRANS lookup tables over a pinned CandidateSpace —
@@ -134,28 +129,29 @@ class CostMatrix {
 
 /// The what-if oracle the design optimizers query: EXEC(S_i, C) for
 /// workload segments S_i and hypothetical configurations C, plus
-/// TRANS(C, C'). Two optimizations make the optimizers fast:
+/// TRANS(C, C').
 ///
-///  * per-segment statement *profiles* — a point statement's estimated
-///    cost depends only on its shape (type and columns), not on its
-///    literal, so a segment of 500 queries collapses into a handful of
-///    (shape, count) pairs, each carrying a 64-bit shape fingerprint;
-///  * per-(segment, configuration) memoization across the many times
-///    the graph algorithms revisit the same node.
+/// A statement's estimated cost depends only on its shape (type,
+/// columns, range width), not on its literals, so the constructor
+/// profiles each segment once into (workload shape, count) terms: a
+/// segment of 500 queries collapses into a handful. EXEC(S_i, C) is the
+/// count-weighted sum, in profile order, of the per-statement prices of
+/// (shape, C). Those prices are the only thing memoized, in a
+/// CostCache: the one the caller's ProbeTally lends, or else the
+/// engine's own, which dies with the engine. Every probe below prices
+/// each (shape, configuration) pair it needs through the memo at most
+/// once, and a cost is the same double whichever memo answers it.
 ///
-/// Thread-safe: the memo cache is sharded across kCacheShards maps,
-/// each behind its own mutex, and the counters are atomic. A cost is
-/// computed exactly once per distinct (segment, configuration) pair —
-/// the owning shard's lock is held across the computation — so
-/// costings() matches a serial run whatever the thread count. For the
-/// hot solver loops, prefer PrecomputeCostMatrix(): it fills the full
-/// n × |candidates| EXEC matrix (and the |candidates|² TRANS matrix)
-/// in parallel up front, after which the solvers touch only the dense
+/// Thread-safe: the memo prices each pair once however many threads
+/// probe it, so costings() matches a serial run whatever the thread
+/// count. For the hot solver loops, prefer PrecomputeCostMatrix(): it
+/// fills the full n × |candidates| EXEC matrix (and the |candidates|²
+/// TRANS matrix) up front, after which the solvers touch only the dense
 /// read-only tables.
 class WhatIfEngine {
  public:
-  /// `model` must outlive the engine. `statements` are copied into the
-  /// profiles; `segments` define the stages S_1..S_n.
+  /// `model` must outlive the engine. `statements` are profiled, not
+  /// kept; `segments` define the stages S_1..S_n.
   WhatIfEngine(const CostModel* model,
                std::span<const BoundStatement> statements,
                std::vector<Segment> segments);
@@ -169,30 +165,30 @@ class WhatIfEngine {
   /// (= statement) order. EXEC(S_i, C) is, for every segment i, a
   /// nonnegative-weighted sum of StatementCost over a subset of these
   /// shapes — dominance pruning probes them instead of the full n x m
-  /// EXEC matrix, so its cost is |shapes| x m costings however long
-  /// the statement sequence is.
+  /// EXEC matrix, so its cost is |shapes| x m prices however long the
+  /// statement sequence is.
   const std::vector<WorkloadShape>& workload_profile() const {
     return workload_profile_;
   }
 
-  /// StatementCost(shape.representative, config), counted as one
-  /// what-if costing (it is one model probe, same as the profile
-  /// entries behind SegmentCost). Not memoized — callers (dominance
-  /// pruning) probe each (shape, config) pair once.
+  /// StatementCost of `shape` under `config`, through the memo.
   ///
-  /// On every probe below, `tally` (optional) is charged the costings
-  /// this call ran the cost model for — a memo hit adds nothing — so
-  /// a caller's share stays exact while others probe the same engine.
+  /// On every probe below, `tally` (optional) lends the memo (its
+  /// `cache`, charged to its `tracker`; the engine's own when null)
+  /// and is charged the probe traffic: the costings this call ran the
+  /// cost model for — a memo hit adds nothing — and the memo's hits,
+  /// misses and evictions, so a caller's share stays exact while
+  /// others probe the same engine or cache.
   double ShapeCost(const WorkloadShape& shape, const Configuration& config,
                    ProbeTally* tally = nullptr) const;
 
-  /// EXEC(S_i, config), memoized. Safe to call concurrently.
+  /// EXEC(S_i, config). Safe to call concurrently.
   double SegmentCost(size_t segment, const Configuration& config,
                      ProbeTally* tally = nullptr) const;
 
   /// EXEC(S_begin ∪ ... ∪ S_{end-1}, config) — the merged-segment cost
-  /// the sequential-merging heuristic needs. Not memoized (sums the
-  /// memoized per-segment costs).
+  /// WHATIF and the merging heuristic need: the per-segment sums added
+  /// in segment order, each shape priced once for the whole range.
   double RangeCost(size_t begin, size_t end, const Configuration& config,
                    ProbeTally* tally = nullptr) const;
 
@@ -204,11 +200,16 @@ class WhatIfEngine {
 
   /// Fills the dense EXEC matrix over all (segment, ConfigId) pairs
   /// and the TRANS matrix over all ConfigId pairs of the pinned
-  /// `candidates` space, fanning the what-if probes out across `pool`
-  /// (serial when pool is null), then finalizes the SoA tables (prefix
-  /// sums, transposed TRANS). This is the single enumeration entry
-  /// point: the solvers never cost materialized Configuration vectors.
-  /// Results are identical for any thread count, with or without
+  /// `candidates` space, fanning the work out across `pool` (serial
+  /// when pool is null), then finalizes the SoA tables (prefix sums,
+  /// transposed TRANS). This is the single enumeration entry point: the
+  /// solvers never cost materialized Configuration vectors.
+  ///
+  /// EXEC is filled in two steps: every (workload shape, candidate)
+  /// pair is priced once through the memo, then each cell is the
+  /// count-weighted sum of its segment's profile over that table — the
+  /// same sum SegmentCost computes, with no hashing or locks. Results
+  /// are identical for any thread count, for any memo, with or without
   /// `tracer`: tracing only changes the fan-out granularity (one span
   /// per work shard) and observes timestamps, never values.
   ///
@@ -239,37 +240,23 @@ class WhatIfEngine {
   /// neither perturbs values; attaching progress only switches the
   /// fill to the coarser sharded fan-out tracing already uses.
   ///
-  /// `cost_cache` (optional) is the persistent cross-solve cache: EXEC
-  /// cells are then assembled from per-(statement fingerprint, config
-  /// mask) entries — looked up before costing, inserted after — so a
-  /// warm precompute over an unchanged model answers essentially every
-  /// probe from the cache. The cache is validated first against a
-  /// token derived from CostModel::Fingerprint() and the space's
-  /// universe fingerprint, and is silently skipped when
-  /// candidates.exact_masks() is false (fingerprint masks would make
-  /// keying unsound). `tracker` (optional) charges cache growth to
-  /// MemComponent::kCostCache; a refused reservation skips the insert
-  /// and trips the solve's memory limit (see cost/cost_cache.h).
-  /// `tally` (optional) receives this fill's costings and cache hits,
-  /// misses and evictions, exact even while other callers share the
-  /// engine or the cache. Cached and uncached fills produce
-  /// bit-identical matrices.
+  /// `tally` (optional) lends the memo and receives this fill's probe
+  /// traffic, as for the probes above. A refused tracker reservation
+  /// skips a memo insert and trips the solve's memory limit (see
+  /// cost/cost_cache.h).
   Result<CostMatrix> PrecomputeCostMatrix(
       const CandidateSpace& candidates, ThreadPool* pool = nullptr,
       Tracer* tracer = nullptr, const Budget* budget = nullptr,
       const ProgressFn* progress = nullptr, Logger* logger = nullptr,
-      CostCache* cost_cache = nullptr, ResourceTracker* tracker = nullptr,
       ProbeTally* tally = nullptr) const;
 
-  /// Mirrors the engine's activity into `registry` — counters
-  /// "whatif.costings" / "whatif.cache_hits" and the
-  /// "whatif.segment_cost_us" costing-latency histogram. Pass nullptr
-  /// to detach. Safe to call concurrently with probes and with other
-  /// SetMetrics calls (the sink pointers are atomic): an engine shared
-  /// by concurrent Solve() calls over the same registry — the serving
-  /// path — is race-free. Const because it only touches observational
-  /// state (like the memo/counter members); no-op when metrics are
-  /// compiled out.
+  /// Mirrors the engine's costings into the registry's
+  /// "whatif.costings" counter. Pass nullptr to detach. Safe to call
+  /// concurrently with probes and with other SetMetrics calls (the
+  /// sink pointer is atomic): an engine shared by concurrent Solve()
+  /// calls over the same registry — the serving path — is race-free.
+  /// Const because it only touches observational state; no-op when
+  /// metrics are compiled out.
   void SetMetrics(MetricsRegistry* registry) const;
 
   /// Number of what-if statement costings performed so far, by every
@@ -279,78 +266,55 @@ class WhatIfEngine {
     return costings_.load(std::memory_order_relaxed);
   }
 
-  /// Number of SegmentCost calls answered from the engine's own memo
-  /// cache (distinct from the persistent CostCache's hits()).
-  int64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// A statement shape with literals erased, plus its multiplicity and
-  /// 64-bit fingerprint (the persistent cost cache's statement key).
-  struct ProfileEntry {
-    BoundStatement representative;
+  /// One profile term: workload_profile_[shape] occurs `count` times
+  /// in the segment.
+  struct ProfileTerm {
+    size_t shape = 0;
     int64_t count = 0;
-    uint64_t fingerprint = 0;
   };
 
-  /// Memo key: one (segment, configuration) what-if probe.
-  struct CacheKey {
-    size_t segment;
-    Configuration config;
-    bool operator==(const CacheKey&) const = default;
+  /// The memo one call prices through, with the tracker its growth is
+  /// charged to (null for the engine's own).
+  struct Memo {
+    CostCache* cache = nullptr;
+    ResourceTracker* tracker = nullptr;
   };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey& key) const {
-      const size_t h = ConfigurationHash()(key.config);
-      return h ^ (key.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+
+  /// The memo `tally` lends, or the engine's own, validated against
+  /// the cost model's current fingerprint.
+  Memo MemoFor(ProbeTally* tally) const;
+
+  /// StatementCost of (shape, config) through `memo`; a miss counts
+  /// one costing.
+  double Price(const Memo& memo, const StatementShape& shape,
+               const Configuration& config, ProbeTally* tally) const;
+
+  /// EXEC of `segment`: the count-weighted sum of `price(shape index)`
+  /// over its profile, in profile order. Every EXEC value is this sum,
+  /// so costs agree bit for bit whichever way the prices were found.
+  template <typename PriceOf>
+  double ProfileSum(size_t segment, PriceOf&& price) const {
+    double cost = 0.0;
+    for (const ProfileTerm& term : profiles_[segment]) {
+      cost += static_cast<double>(term.count) * price(term.shape);
     }
-  };
-  struct CacheShard {
-    std::mutex mu;
-    std::unordered_map<CacheKey, double, CacheKeyHash> memo;
-  };
-  static constexpr size_t kCacheShards = 64;
-
-  CacheShard& ShardFor(size_t segment, const Configuration& config) const {
-    return shards_[CacheKeyHash()(CacheKey{segment, config}) % kCacheShards];
+    return cost;
   }
-
-  /// Adds `costed` cost-model probes to costings(), the metric sink
-  /// and `tally` (optional).
-  void CountCostings(int64_t costed, ProbeTally* tally) const;
-
-  /// The uncached cost computation (pure apart from the counters).
-  double ComputeSegmentCost(size_t segment, const Configuration& config,
-                            ProbeTally* tally) const;
-
-  /// EXEC(S_segment, config) assembled from the persistent cache:
-  /// per profile entry, look up (entry.fingerprint, config_mask), cost
-  /// and insert on miss. Summation runs in profile order — the same
-  /// order as ComputeSegmentCost — so the result is bit-identical to
-  /// the uncached path. The cell's hits, misses and costings are added
-  /// to `tally` (optional) in one step each.
-  double CachedSegmentCost(size_t segment, const Configuration& config,
-                           uint64_t config_mask, CostCache* cache,
-                           ResourceTracker* tracker, ProbeTally* tally) const;
 
   const CostModel* model_;
   std::vector<Segment> segments_;
-  std::vector<std::vector<ProfileEntry>> profiles_;  // Per segment.
-  // The per-segment profiles merged by fingerprint, first appearance
-  // first (built once in the constructor; immutable afterwards).
+  std::vector<std::vector<ProfileTerm>> profiles_;  // Per segment.
+  // Every distinct shape, first appearance first (built once in the
+  // constructor; immutable afterwards).
   std::vector<WorkloadShape> workload_profile_;
-  mutable std::array<CacheShard, kCacheShards> shards_;
+  mutable CostCache memo_;
   mutable std::atomic<int64_t> costings_{0};
-  mutable std::atomic<int64_t> cache_hits_{0};
-  // Optional metric sinks (null until SetMetrics). Atomic because
-  // every concurrent Solve() over a shared engine re-attaches them
-  // while other solves' probes read them; the registry hands out
-  // stable pointers, so concurrent attaches of the same registry are
-  // idempotent.
+  // Optional metric sink (null until SetMetrics). Atomic because every
+  // concurrent Solve() over a shared engine re-attaches it while other
+  // solves' probes read it; the registry hands out stable pointers, so
+  // concurrent attaches of the same registry are idempotent.
   mutable std::atomic<Counter*> metrics_costings_{nullptr};
-  mutable std::atomic<Counter*> metrics_cache_hits_{nullptr};
-  mutable std::atomic<Histogram*> metrics_segment_cost_us_{nullptr};
 };
 
 }  // namespace cdpd

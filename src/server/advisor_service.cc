@@ -357,10 +357,10 @@ Result<WhatIfAnswer> AdvisorService::WhatIfConfig(const Configuration& config) {
   WhatIfAnswer answer;
   answer.config = config;
   answer.segments = window->segments.size();
-  for (size_t i = 0; i < window->segments.size(); ++i) {
-    answer.exec_cost += window->engine->SegmentCost(i, config);
-    answer.base_exec_cost += window->engine->SegmentCost(i, initial);
-  }
+  // One shape row per configuration, summed over the whole window.
+  answer.exec_cost = window->engine->RangeCost(0, answer.segments, config);
+  answer.base_exec_cost =
+      window->engine->RangeCost(0, answer.segments, initial);
   answer.build_cost = window->engine->TransitionCost(initial, config);
   registry_.counter("server.whatifs")->Add(1);
   return answer;

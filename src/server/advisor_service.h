@@ -52,10 +52,9 @@ struct ServiceOptions {
   int64_t domain_size = 500'000;
   CostParams params;
   /// Candidate indexes the recommendations draw from; empty =
-  /// MakePaperCandidateIndexes(schema). Pinned at construction so the
-  /// candidate universe — and with it the cost cache's validity token —
-  /// never changes across re-solves: that is what keeps the warm-start
-  /// hit rate high over a sliding window.
+  /// MakePaperCandidateIndexes(schema). Pinned at construction so
+  /// re-solves over a sliding window probe the same configurations:
+  /// that is what keeps the warm-start hit rate high.
   std::vector<IndexDef> candidate_indexes;
   int32_t max_indexes_per_config = 1;
   int64_t space_bound_pages = std::numeric_limits<int64_t>::max();
@@ -169,11 +168,12 @@ struct RecommendAnswer {
 /// the sliding workload window, and the last solution resident across
 /// requests.
 ///
-/// Warm-start semantics (see docs/serving.md): the candidate universe
+/// Warm-start semantics (see docs/serving.md): the candidate indexes
 /// and cost model are pinned at construction, so the persistent cost
-/// cache's validity token never changes and every statement shape the
-/// window has seen before is answered from cache — a re-solve over a
-/// slid window re-costs only the shapes that are genuinely new. The
+/// cache's validity token never changes and every (statement shape,
+/// configuration) pair the window has seen before is answered from
+/// cache — a re-solve over a slid window re-costs only the shapes that
+/// are genuinely new. The
 /// last solution is kept resident: a RECOMMEND over an unchanged
 /// window with unchanged options returns it without re-solving. Both
 /// reuses are *observationally invariant*: every answer is bit-
@@ -183,8 +183,8 @@ struct RecommendAnswer {
 ///
 /// Thread-safe: INGEST swaps an immutable window snapshot under a
 /// mutex; WHATIF/RECOMMEND read whichever snapshot was current when
-/// they started (the what-if engine's memo and the solver session are
-/// internally synchronized), so concurrent clients never block each
+/// they started (the what-if engines' cost memos and the solver session
+/// are internally synchronized), so concurrent clients never block each
 /// other on a long solve.
 class AdvisorService {
  public:

@@ -2,9 +2,7 @@
 // API. ConfigIds follow insertion order, the universe is the sorted
 // dedup union of member indexes, masks are exact bijections while the
 // universe fits in 64 bits (and degrade to fingerprints beyond),
-// fingerprint() identifies the whole space while
-// universe_fingerprint() identifies only the bit layout the cost
-// cache keys on.
+// and fingerprint() identifies the whole space.
 
 #include "advisor/candidate_space.h"
 
@@ -119,7 +117,7 @@ TEST(CandidateSpaceTest, WideUniverseDegradesToFingerprints) {
   }
 }
 
-TEST(CandidateSpaceTest, FingerprintSeparatesSpacesUniverseFingerprintDoesNot) {
+TEST(CandidateSpaceTest, FingerprintSeparatesSpaces) {
   const std::vector<Configuration> all = PaperishConfigs();
   const CandidateSpace whole(all);
   // Dropping the last member removes indexes {1} and {3} from the
@@ -130,14 +128,14 @@ TEST(CandidateSpaceTest, FingerprintSeparatesSpacesUniverseFingerprintDoesNot) {
   std::swap(reordered[1], reordered[2]);
   const CandidateSpace shuffled(reordered);
 
-  // Same universe, different pinned order: shared cache bit layout,
-  // distinct space identity.
-  EXPECT_EQ(shuffled.universe_fingerprint(), whole.universe_fingerprint());
+  // Same universe, different pinned order: same bit layout, distinct
+  // space identity.
+  EXPECT_EQ(shuffled.universe(), whole.universe());
   EXPECT_NE(shuffled.fingerprint(), whole.fingerprint());
   EXPECT_NE(shuffled, whole);
 
-  // Different universe: both identities change.
-  EXPECT_NE(subset.universe_fingerprint(), whole.universe_fingerprint());
+  // Different universe: the identity changes with it.
+  EXPECT_NE(subset.universe(), whole.universe());
   EXPECT_NE(subset.fingerprint(), whole.fingerprint());
 }
 
@@ -148,9 +146,9 @@ TEST(CandidateSpaceTest, PrefixKeepsOrderAndRederivesUniverse) {
   ASSERT_EQ(head.size(), 3u);
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(head[i], all[i]);
   // The survivors only mention columns 0 and 2: the universe shrank,
-  // so masks stay minimal and the cache bit layout changed with it.
+  // so masks stay minimal and the bit layout changed with it.
   EXPECT_EQ(head.num_indexes(), 2u);
-  EXPECT_NE(head.universe_fingerprint(), space.universe_fingerprint());
+  EXPECT_NE(head.universe(), space.universe());
 
   EXPECT_EQ(space.Prefix(all.size() + 7), space);
   EXPECT_TRUE(space.Prefix(0).empty());

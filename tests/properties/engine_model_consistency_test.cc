@@ -5,6 +5,7 @@
 // converted to cost units, tracks the estimate.
 
 #include <algorithm>
+#include <ostream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,10 @@ struct Case {
   ColumnId where_column;
   ColumnId select_column;
 };
+
+// Without this, gtest prints a case as its raw bytes, pointers included,
+// and the discovered ctest names change with every build and load address.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.config_name; }
 
 class EngineModelConsistencyTest : public ::testing::TestWithParam<Case> {
  protected:
