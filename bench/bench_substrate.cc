@@ -166,7 +166,7 @@ void BM_ReadTrace(benchmark::State& state) {
 BENCHMARK(BM_ReadTrace)->Unit(benchmark::kMillisecond);
 
 /// Feeds every google-benchmark result into the BENCH_*.json telemetry
-/// artifact (one case per benchmark, per-iteration real time) while
+/// artifact (one case per benchmark, per-iteration real and CPU time) while
 /// still printing the usual console table.
 class ReportingReporter : public benchmark::ConsoleReporter {
  public:
@@ -182,10 +182,10 @@ class ReportingReporter : public benchmark::ConsoleReporter {
           items != run.counters.end()) {
         metrics.emplace_back("items_per_second", items->second.value);
       }
-      report_->AddCase(
-          run.benchmark_name(),
-          run.real_accumulated_time / static_cast<double>(run.iterations),
-          metrics);
+      const auto iterations = static_cast<double>(run.iterations);
+      report_->AddCase(run.benchmark_name(),
+                       run.real_accumulated_time / iterations, metrics,
+                       run.cpu_accumulated_time / iterations);
     }
     ConsoleReporter::ReportRuns(runs);
   }

@@ -4,15 +4,6 @@
 
 namespace cdpd {
 
-namespace {
-
-/// Maps 'A'..'Z' to 'a'..'z'; every other byte is returned unchanged.
-char AsciiToLower(char c) {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-}  // namespace
-
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -46,14 +37,6 @@ std::string ToLower(std::string_view text) {
   std::string out(text);
   for (char& c : out) c = AsciiToLower(c);
   return out;
-}
-
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) return false;
-  }
-  return true;
 }
 
 std::string FormatDouble(double value, int decimals) {

@@ -22,11 +22,23 @@ constexpr bool IsAsciiSpace(char c) {
 /// Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
+/// Maps 'A'..'Z' to 'a'..'z'; every other byte is returned unchanged.
+constexpr char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// ASCII lower-casing.
 std::string ToLower(std::string_view text);
 
-/// Case-insensitive ASCII comparison.
-bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+/// Case-insensitive ASCII comparison. Inline: the SQL grammar runs it
+/// once per keyword it matches.
+constexpr bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) return false;
+  }
+  return true;
+}
 
 /// Formats `value` with `decimals` digits after the point (no locale).
 std::string FormatDouble(double value, int decimals);

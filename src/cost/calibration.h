@@ -35,8 +35,9 @@ struct CalibrationReport {
 /// relied on SQL Server's optimizer estimates; a standalone library
 /// must earn its constants). Probes:
 ///
-///  * heap scan vs. covering index scan — two linear equations in
-///    (seconds/page, seconds/tuple), solved exactly;
+///  * two covering scans of I(c,d), one matching no row and one
+///    matching every row — seconds/page from the first, seconds/tuple
+///    from their difference;
 ///  * random B+-tree point seeks — seconds/random-page;
 ///  * index builds of two widths — seconds/written-page (the sort is
 ///    charged via sort_cpu ~ cpu_tuple).

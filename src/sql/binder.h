@@ -9,10 +9,18 @@
 
 namespace cdpd {
 
-/// Resolves a DML statement AST (SELECT/UPDATE/INSERT) against `schema`
-/// into the executable BoundStatement form. Fails with InvalidArgument
-/// for unknown tables/columns, arity mismatches, or DDL input (DDL is
-/// bound with BindIndexDdl instead).
+/// Resolves a DML statement (SELECT/UPDATE/INSERT) against `schema`
+/// into the executable BoundStatement form, overwriting `*out`. Checks
+/// the table, then the columns in statement order (SELECT: selected,
+/// then predicate; UPDATE: set, then predicate), then INSERT's arity,
+/// and reports the first failure: InvalidArgument for an unknown table,
+/// an arity mismatch or DDL input (DDL is bound with BindIndexDdl
+/// instead), NotFound for an unknown column. Error text is built only
+/// on failure; on failure `*out` is unspecified.
+Status BindStatement(const Schema& schema, const StatementView& view,
+                     BoundStatement* out);
+
+/// The same binder over an owning AST.
 Result<BoundStatement> BindStatement(const Schema& schema,
                                      const StatementAst& ast);
 

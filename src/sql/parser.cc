@@ -1,6 +1,7 @@
 #include "sql/parser.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/string_util.h"
 #include "sql/lexer.h"
@@ -9,198 +10,231 @@ namespace cdpd {
 
 namespace {
 
-/// Token cursor with the small helpers the grammar needs. Identifier
-/// reads return views into the statement text.
+using Kind = StatementView::Kind;
+
+/// Token cursor with the small helpers the grammar needs. Each Expect*
+/// helper returns false on a mismatch after recording the error; the
+/// grammar stops at the first one, so that is the one reported. Error
+/// text is built only on that path.
 class Cursor {
  public:
   explicit Cursor(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_++]; }
   bool AtEnd() const { return Peek().type == TokenType::kEnd; }
 
-  bool PeekKeyword(std::string_view keyword) const {
-    return Peek().type == TokenType::kIdentifier &&
-           EqualsIgnoreCase(Peek().text, keyword);
+  /// Consumes the next token if it has type `type`.
+  bool Accept(TokenType type) {
+    if (Peek().type != type) return false;
+    ++pos_;
+    return true;
   }
 
-  Status ExpectKeyword(std::string_view keyword) {
-    if (!PeekKeyword(keyword)) {
-      return Error("expected keyword '" + std::string(keyword) + "'");
+  /// Consumes the next token if it is the keyword `keyword`.
+  bool AcceptKeyword(std::string_view keyword) {
+    if (Peek().type != TokenType::kIdentifier ||
+        !EqualsIgnoreCase(Peek().text, keyword)) {
+      return false;
     }
-    Advance();
-    return Status::OK();
+    ++pos_;
+    return true;
   }
 
-  Result<std::string_view> ExpectIdentifier(std::string_view what) {
+  bool ExpectKeyword(std::string_view keyword) {
+    return AcceptKeyword(keyword) ||
+           Fail("expected keyword '" + std::string(keyword) + "'");
+  }
+
+  bool ExpectIdentifier(std::string_view what, std::string_view* out) {
     if (Peek().type != TokenType::kIdentifier) {
-      return Error("expected " + std::string(what));
+      return Fail("expected " + std::string(what));
     }
-    return Advance().text;
+    *out = tokens_[pos_++].text;
+    return true;
   }
 
-  Result<int64_t> ExpectInteger(std::string_view what) {
+  bool ExpectInteger(std::string_view what, int64_t* out) {
     if (Peek().type != TokenType::kInteger) {
-      return Error("expected integer " + std::string(what));
+      return Fail("expected integer " + std::string(what));
     }
-    return Advance().value;
+    *out = tokens_[pos_++].value;
+    return true;
   }
 
-  Status ExpectSymbol(TokenType type, std::string_view symbol) {
-    if (Peek().type != type) {
-      return Error("expected '" + std::string(symbol) + "'");
-    }
-    Advance();
-    return Status::OK();
+  bool ExpectSymbol(TokenType type, std::string_view symbol) {
+    return Accept(type) || Fail("expected '" + std::string(symbol) + "'");
   }
 
-  Status ExpectEnd() {
-    if (Peek().type == TokenType::kSemicolon) Advance();
-    if (!AtEnd()) return Error("trailing input after statement");
-    return Status::OK();
+  bool ExpectEnd() {
+    Accept(TokenType::kSemicolon);
+    return AtEnd() || Fail("trailing input after statement");
   }
 
-  Status Error(std::string message) const {
+  /// Records "<message> at offset N (got '<token>')" at the next token
+  /// and returns false.
+  bool Fail(std::string message) {
     message += " at offset " + std::to_string(Peek().position);
     if (!Peek().text.empty()) {
       message += " (got '";
       message += Peek().text;
       message += "')";
     }
-    return Status::ParseError(std::move(message));
+    error_ = Status::ParseError(std::move(message));
+    return false;
   }
+
+  Status TakeError() { return std::move(error_); }
 
  private:
   const std::vector<Token>& tokens_;
   size_t pos_ = 0;
+  Status error_;
 };
 
-Result<StatementAst> ParseSelect(Cursor* cur) {
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("SELECT"));
-  SelectAst ast;
-  CDPD_ASSIGN_OR_RETURN(ast.select_column,
-                        cur->ExpectIdentifier("select column"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("FROM"));
-  CDPD_ASSIGN_OR_RETURN(ast.table, cur->ExpectIdentifier("table name"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("WHERE"));
-  CDPD_ASSIGN_OR_RETURN(ast.where_column,
-                        cur->ExpectIdentifier("predicate column"));
-  if (cur->PeekKeyword("BETWEEN")) {
-    cur->Advance();
-    ast.is_range = true;
-    CDPD_ASSIGN_OR_RETURN(ast.where_lo, cur->ExpectInteger("lower bound"));
-    CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("AND"));
-    CDPD_ASSIGN_OR_RETURN(ast.where_hi, cur->ExpectInteger("upper bound"));
-    if (ast.where_lo > ast.where_hi) {
-      return cur->Error("BETWEEN bounds out of order");
-    }
-  } else {
-    CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kEquals, "="));
-    CDPD_ASSIGN_OR_RETURN(ast.where_value, cur->ExpectInteger("literal"));
+// The productions run after their leading keyword has been consumed.
+
+bool ParseSelect(Cursor* cur, StatementView* v) {
+  if (!(cur->ExpectIdentifier("select column", &v->select_column) &&
+        cur->ExpectKeyword("FROM") &&
+        cur->ExpectIdentifier("table name", &v->table) &&
+        cur->ExpectKeyword("WHERE") &&
+        cur->ExpectIdentifier("predicate column", &v->where_column))) {
+    return false;
   }
-  CDPD_RETURN_IF_ERROR(cur->ExpectEnd());
-  return StatementAst(std::move(ast));
-}
-
-Result<StatementAst> ParseUpdate(Cursor* cur) {
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("UPDATE"));
-  UpdateAst ast;
-  CDPD_ASSIGN_OR_RETURN(ast.table, cur->ExpectIdentifier("table name"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("SET"));
-  CDPD_ASSIGN_OR_RETURN(ast.set_column, cur->ExpectIdentifier("set column"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kEquals, "="));
-  CDPD_ASSIGN_OR_RETURN(ast.set_value, cur->ExpectInteger("literal"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("WHERE"));
-  CDPD_ASSIGN_OR_RETURN(ast.where_column,
-                        cur->ExpectIdentifier("predicate column"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kEquals, "="));
-  CDPD_ASSIGN_OR_RETURN(ast.where_value, cur->ExpectInteger("literal"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectEnd());
-  return StatementAst(std::move(ast));
-}
-
-Result<StatementAst> ParseInsert(Cursor* cur) {
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("INSERT"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("INTO"));
-  InsertAst ast;
-  CDPD_ASSIGN_OR_RETURN(ast.table, cur->ExpectIdentifier("table name"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("VALUES"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kLeftParen, "("));
-  for (;;) {
-    CDPD_ASSIGN_OR_RETURN(int64_t value, cur->ExpectInteger("value"));
-    ast.values.push_back(value);
-    if (cur->Peek().type == TokenType::kComma) {
-      cur->Advance();
-      continue;
-    }
-    break;
+  v->is_range = cur->AcceptKeyword("BETWEEN");
+  if (!v->is_range) {
+    return cur->ExpectSymbol(TokenType::kEquals, "=") &&
+           cur->ExpectInteger("literal", &v->where_value) && cur->ExpectEnd();
   }
-  CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kRightParen, ")"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectEnd());
-  return StatementAst(std::move(ast));
-}
-
-Result<std::vector<std::string>> ParseColumnList(Cursor* cur) {
-  CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kLeftParen, "("));
-  std::vector<std::string> columns;
-  for (;;) {
-    CDPD_ASSIGN_OR_RETURN(std::string_view column,
-                          cur->ExpectIdentifier("column name"));
-    columns.emplace_back(column);
-    if (cur->Peek().type == TokenType::kComma) {
-      cur->Advance();
-      continue;
-    }
-    break;
+  if (!(cur->ExpectInteger("lower bound", &v->where_lo) &&
+        cur->ExpectKeyword("AND") &&
+        cur->ExpectInteger("upper bound", &v->where_hi))) {
+    return false;
   }
-  CDPD_RETURN_IF_ERROR(cur->ExpectSymbol(TokenType::kRightParen, ")"));
-  return columns;
+  if (v->where_lo > v->where_hi) {
+    return cur->Fail("BETWEEN bounds out of order");
+  }
+  return cur->ExpectEnd();
 }
 
-Result<StatementAst> ParseCreateIndex(Cursor* cur) {
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("CREATE"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("INDEX"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("ON"));
-  CreateIndexAst ast;
-  CDPD_ASSIGN_OR_RETURN(ast.table, cur->ExpectIdentifier("table name"));
-  CDPD_ASSIGN_OR_RETURN(ast.columns, ParseColumnList(cur));
-  CDPD_RETURN_IF_ERROR(cur->ExpectEnd());
-  return StatementAst(std::move(ast));
+bool ParseUpdate(Cursor* cur, StatementView* v) {
+  return cur->ExpectIdentifier("table name", &v->table) &&
+         cur->ExpectKeyword("SET") &&
+         cur->ExpectIdentifier("set column", &v->set_column) &&
+         cur->ExpectSymbol(TokenType::kEquals, "=") &&
+         cur->ExpectInteger("literal", &v->set_value) &&
+         cur->ExpectKeyword("WHERE") &&
+         cur->ExpectIdentifier("predicate column", &v->where_column) &&
+         cur->ExpectSymbol(TokenType::kEquals, "=") &&
+         cur->ExpectInteger("literal", &v->where_value) && cur->ExpectEnd();
 }
 
-Result<StatementAst> ParseDropIndex(Cursor* cur) {
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("DROP"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("INDEX"));
-  CDPD_RETURN_IF_ERROR(cur->ExpectKeyword("ON"));
-  DropIndexAst ast;
-  CDPD_ASSIGN_OR_RETURN(ast.table, cur->ExpectIdentifier("table name"));
-  CDPD_ASSIGN_OR_RETURN(ast.columns, ParseColumnList(cur));
-  CDPD_RETURN_IF_ERROR(cur->ExpectEnd());
-  return StatementAst(std::move(ast));
+bool ParseInsert(Cursor* cur, StatementView* v) {
+  if (!(cur->ExpectKeyword("INTO") &&
+        cur->ExpectIdentifier("table name", &v->table) &&
+        cur->ExpectKeyword("VALUES") &&
+        cur->ExpectSymbol(TokenType::kLeftParen, "("))) {
+    return false;
+  }
+  do {
+    if (!cur->ExpectInteger("value", &v->values.emplace_back())) return false;
+  } while (cur->Accept(TokenType::kComma));
+  return cur->ExpectSymbol(TokenType::kRightParen, ")") && cur->ExpectEnd();
 }
 
-Result<StatementAst> ParseOne(Cursor* cur) {
-  if (cur->PeekKeyword("SELECT")) return ParseSelect(cur);
-  if (cur->PeekKeyword("UPDATE")) return ParseUpdate(cur);
-  if (cur->PeekKeyword("INSERT")) return ParseInsert(cur);
-  if (cur->PeekKeyword("CREATE")) return ParseCreateIndex(cur);
-  if (cur->PeekKeyword("DROP")) return ParseDropIndex(cur);
-  return cur->Error("expected SELECT, UPDATE, INSERT, CREATE or DROP");
+/// INDEX ON ident '(' ident (',' ident)* ')', after CREATE or DROP.
+bool ParseIndexDdl(Cursor* cur, StatementView* v) {
+  if (!(cur->ExpectKeyword("INDEX") && cur->ExpectKeyword("ON") &&
+        cur->ExpectIdentifier("table name", &v->table) &&
+        cur->ExpectSymbol(TokenType::kLeftParen, "("))) {
+    return false;
+  }
+  do {
+    if (!cur->ExpectIdentifier("column name", &v->columns.emplace_back())) {
+      return false;
+    }
+  } while (cur->Accept(TokenType::kComma));
+  return cur->ExpectSymbol(TokenType::kRightParen, ")") && cur->ExpectEnd();
+}
+
+bool ParseOne(Cursor* cur, StatementView* v) {
+  v->values.clear();
+  v->columns.clear();
+  if (cur->AcceptKeyword("SELECT")) {
+    v->kind = Kind::kSelect;
+    return ParseSelect(cur, v);
+  }
+  if (cur->AcceptKeyword("UPDATE")) {
+    v->kind = Kind::kUpdate;
+    return ParseUpdate(cur, v);
+  }
+  if (cur->AcceptKeyword("INSERT")) {
+    v->kind = Kind::kInsert;
+    return ParseInsert(cur, v);
+  }
+  if (cur->AcceptKeyword("CREATE")) {
+    v->kind = Kind::kCreateIndex;
+    return ParseIndexDdl(cur, v);
+  }
+  if (cur->AcceptKeyword("DROP")) {
+    v->kind = Kind::kDropIndex;
+    return ParseIndexDdl(cur, v);
+  }
+  return cur->Fail("expected SELECT, UPDATE, INSERT, CREATE or DROP");
+}
+
+StatementAst ToAst(const StatementView& v) {
+  switch (v.kind) {
+    case Kind::kSelect: {
+      SelectAst ast;
+      ast.table = v.table;
+      ast.select_column = v.select_column;
+      ast.where_column = v.where_column;
+      ast.is_range = v.is_range;
+      if (v.is_range) {
+        ast.where_lo = v.where_lo;
+        ast.where_hi = v.where_hi;
+      } else {
+        ast.where_value = v.where_value;
+      }
+      return ast;
+    }
+    case Kind::kUpdate:
+      return UpdateAst{std::string(v.table), std::string(v.set_column),
+                       v.set_value, std::string(v.where_column),
+                       v.where_value};
+    case Kind::kInsert:
+      return InsertAst{std::string(v.table), v.values};
+    case Kind::kCreateIndex:
+    case Kind::kDropIndex: {
+      std::vector<std::string> columns(v.columns.begin(), v.columns.end());
+      if (v.kind == Kind::kCreateIndex) {
+        return CreateIndexAst{std::string(v.table), std::move(columns)};
+      }
+      return DropIndexAst{std::string(v.table), std::move(columns)};
+    }
+  }
+  return {};
 }
 
 }  // namespace
 
-Result<StatementAst> ParseStatement(std::string_view sql) {
-  // Lexing is eager, so a lexical error anywhere in the statement is
-  // reported before any grammar error. The buffer holds no strings and
-  // is reused by every call on this thread; its views into `sql` go
-  // stale when this returns and are never read again, because
-  // Tokenize() clears the buffer first.
+Status ParseStatement(std::string_view sql, StatementView* view) {
+  // The buffer holds no strings and is reused by every call on this
+  // thread; its views into `sql` go stale when this returns and are
+  // never read again, because Tokenize() clears the buffer first.
   thread_local std::vector<Token> tokens;
   CDPD_RETURN_IF_ERROR(Tokenize(sql, &tokens));
   Cursor cur(tokens);
   if (cur.AtEnd()) return Status::ParseError("empty statement");
-  return ParseOne(&cur);
+  if (!ParseOne(&cur, view)) return cur.TakeError();
+  return Status::OK();
+}
+
+Result<StatementAst> ParseStatement(std::string_view sql) {
+  StatementView view;
+  CDPD_RETURN_IF_ERROR(ParseStatement(sql, &view));
+  return ToAst(view);
 }
 
 Result<std::vector<StatementAst>> ParseScript(std::string_view sql) {

@@ -21,6 +21,23 @@ namespace cdpd {
 ///   drop_index   := DROP INDEX ON ident '(' ident (',' ident)* ')'
 ///
 /// Keywords are case-insensitive; statements may end with ';'.
+///
+/// Error contract (every entry point, and ReadTrace() through them):
+/// lexing is eager, so a lexical error anywhere in the statement is
+/// reported before any grammar error; an empty statement is
+/// "empty statement"; otherwise the grammar stops at its first
+/// mismatch with "expected <what> at offset N (got '<token>')" (no
+/// "(got …)" at the end of input), and "BETWEEN bounds out of order"
+/// is a grammar error at the token after the upper bound. All are
+/// ParseError. Names are not checked here; the binder reports those.
+
+/// Tokenizes `sql` and runs the grammar over it, filling `*view` with
+/// views into `sql`. Allocates nothing once `view`'s vectors and this
+/// thread's token buffer have grown to the longest statement seen.
+/// On error `*view` is unspecified.
+Status ParseStatement(std::string_view sql, StatementView* view);
+
+/// The same grammar, materialised into an owning AST.
 Result<StatementAst> ParseStatement(std::string_view sql);
 
 /// Parses a ';'-separated script (blank statements are skipped).

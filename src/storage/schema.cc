@@ -9,12 +9,18 @@ Schema::Schema(std::string table_name, std::vector<std::string> column_names)
     : table_name_(std::move(table_name)),
       column_names_(std::move(column_names)) {}
 
-Result<ColumnId> Schema::FindColumn(std::string_view name) const {
+ColumnId Schema::ColumnIndex(std::string_view name) const {
   for (size_t i = 0; i < column_names_.size(); ++i) {
     if (EqualsIgnoreCase(column_names_[i], name)) {
       return static_cast<ColumnId>(i);
     }
   }
+  return -1;
+}
+
+Result<ColumnId> Schema::FindColumn(std::string_view name) const {
+  const ColumnId id = ColumnIndex(name);
+  if (id >= 0) return id;
   return Status::NotFound("no column '" + std::string(name) + "' in table '" +
                           table_name_ + "'");
 }

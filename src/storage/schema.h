@@ -37,7 +37,11 @@ class Schema {
     return column_names_;
   }
 
-  /// Looks up a column by (case-insensitive) name.
+  /// The id of the column named `name` (case-insensitive), or -1.
+  ColumnId ColumnIndex(std::string_view name) const;
+
+  /// Looks up a column by (case-insensitive) name; NotFound names the
+  /// column and the table.
   Result<ColumnId> FindColumn(std::string_view name) const;
 
   /// Bytes one row occupies in the heap: 8 bytes per column plus a fixed

@@ -77,6 +77,7 @@ Result<Workload> ReadTrace(const Schema& schema, std::string_view text) {
   bool saw_block_comments = false;
   size_t line_number = 0;
   size_t block_begin_statement = 0;
+  StatementView view;  // Reused by every line.
 
   size_t line_begin = 0;
   while (line_begin < text.size()) {
@@ -119,23 +120,23 @@ Result<Workload> ReadTrace(const Schema& schema, std::string_view text) {
       block_begin_statement = workload.size();
       continue;
     }
-    auto ast = ParseStatement(line);
-    if (!ast.ok()) {
-      return Status::ParseError(LinePrefix(line_number) +
-                                ast.status().message());
+    // Straight from the line's tokens to its BoundStatement: the view
+    // points into `text`, and nothing is allocated on success but an
+    // INSERT's values.
+    if (Status parsed = ParseStatement(line, &view); !parsed.ok()) {
+      return Status::ParseError(LinePrefix(line_number) + parsed.message());
     }
-    if (std::holds_alternative<CreateIndexAst>(*ast) ||
-        std::holds_alternative<DropIndexAst>(*ast)) {
+    if (view.is_ddl()) {
       return Status::InvalidArgument(
           LinePrefix(line_number) +
           "index DDL is not allowed in a workload trace");
     }
-    auto bound = BindStatement(schema, *ast);
-    if (!bound.ok()) {
-      return Status(bound.status().code(),
-                    LinePrefix(line_number) + bound.status().message());
+    BoundStatement& bound = workload.statements.emplace_back();
+    if (Status status = BindStatement(schema, view, &bound); !status.ok()) {
+      workload.statements.pop_back();
+      return Status(status.code(),
+                    LinePrefix(line_number) + status.message());
     }
-    workload.statements.push_back(std::move(bound).value());
   }
   if (!saw_block_comments) {
     workload.block_mix_names.clear();

@@ -31,6 +31,10 @@ Status WriteTraceFile(const std::string& path, const Schema& schema,
 /// the DML dialect (index DDL in a trace is rejected: physical design
 /// is the advisor's output, not its input).
 ///
+/// Errors name the line ("line N: ...") and, per line, come in the
+/// order ParseStatement() + the DDL rejection + BindStatement() give
+/// them (sql/parser.h, sql/binder.h): lexical, grammar, DDL, binding.
+///
 /// Block markers. A comment whose words, split at single spaces, are
 ///
 ///   -- block <n> [mix <name>]

@@ -2,14 +2,19 @@
 // through print -> parse -> bind unchanged, and every blocked workload
 // through WriteTrace -> ReadTrace; (b) arbitrary byte soup, shuffled
 // token soup and multi-line trace soup never crash the lexer, parser
-// or trace reader — they return a Status or a legitimate parse.
+// or trace reader — they return a Status or a legitimate parse; (c) on
+// byte, token and statement soup, a one-line ReadTrace answers exactly
+// as ParseStatement + the trace's DDL check + BindStatement do.
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -113,16 +118,79 @@ TEST_P(SqlRoundTripFuzz, BlockedTracesSurviveWriteRead) {
   }
 }
 
+std::string ByteSoup(Rng* rng) {
+  static const std::string_view kAlphabet =
+      "SELECTUPDAINRTOVWHBFMXabcd0123456789 ()=,;*-\t\n_";
+  std::string soup;
+  const size_t length = rng->NextBounded(60);
+  for (size_t j = 0; j < length; ++j) {
+    soup += kAlphabet[rng->NextBounded(kAlphabet.size())];
+  }
+  return soup;
+}
+
+std::string TokenSoup(Rng* rng) {
+  static const char* const kTokens[] = {
+      "SELECT", "UPDATE", "INSERT", "INTO",  "VALUES", "FROM", "WHERE",
+      "SET",    "BETWEEN", "AND",   "CREATE", "DROP",  "INDEX", "ON",
+      "t",      "a",      "b",      "(",     ")",      ",",    "=",
+      "42",     "-7",     ";"};
+  std::string soup;
+  const size_t length = rng->NextBounded(12);
+  for (size_t j = 0; j < length; ++j) {
+    soup += kTokens[rng->NextBounded(std::size(kTokens))];
+    soup += ' ';
+  }
+  return soup;
+}
+
+/// A valid statement (DML or index DDL) with up to two word-level
+/// mutations: a word replaced by an unknown or mixed-case name, a
+/// literal or a symbol, dropped, doubled, or swapped with its
+/// neighbour (which puts BETWEEN bounds out of order). Most results
+/// parse, so binding and its error precedence get exercised too.
+std::string StatementSoup(Rng* rng, const Schema& schema) {
+  static const char* const kWords[] = {"u",  "T",  "zz", "A",  "yy",
+                                       "B",  "5",  "-3", ";",  ";;",
+                                       "BETWEEN", "AND", "(", ")", ","};
+  std::string sql;
+  switch (rng->NextBounded(6)) {
+    case 0:
+      sql = "CREATE INDEX ON t (a, b)";
+      break;
+    case 1:
+      sql = "DROP INDEX ON t (c)";
+      break;
+    default:
+      sql = RandomStatement(rng, schema).ToString(schema);
+      break;
+  }
+  std::vector<std::string> words = Split(sql, ' ');
+  const uint64_t mutations = rng->NextBounded(3);
+  for (uint64_t m = 0; m < mutations && !words.empty(); ++m) {
+    const size_t at = rng->NextBounded(words.size());
+    switch (rng->NextBounded(6)) {
+      case 0:
+        words.erase(words.begin() + static_cast<ptrdiff_t>(at));
+        break;
+      case 1:
+        words.insert(words.begin() + static_cast<ptrdiff_t>(at), words[at]);
+        break;
+      case 2:
+        if (at + 1 < words.size()) std::swap(words[at], words[at + 1]);
+        break;
+      default:
+        words[at] = kWords[rng->NextBounded(std::size(kWords))];
+        break;
+    }
+  }
+  return Join(words, " ");
+}
+
 TEST_P(SqlRoundTripFuzz, ByteSoupNeverCrashes) {
   Rng rng(GetParam() ^ 0xf00d);
-  const std::string alphabet =
-      "SELECTUPDAINRTOVWHBFMXabcd0123456789 ()=,;*-\t\n_";
   for (int i = 0; i < 2000; ++i) {
-    std::string soup;
-    const size_t length = rng.NextBounded(60);
-    for (size_t j = 0; j < length; ++j) {
-      soup += alphabet[rng.NextBounded(alphabet.size())];
-    }
+    const std::string soup = ByteSoup(&rng);
     // Must not crash; outcome (ok or error) is irrelevant.
     auto result = ParseStatement(soup);
     if (result.ok()) {
@@ -134,19 +202,8 @@ TEST_P(SqlRoundTripFuzz, ByteSoupNeverCrashes) {
 
 TEST_P(SqlRoundTripFuzz, TokenSoupNeverCrashes) {
   Rng rng(GetParam() ^ 0xbeef);
-  const std::vector<std::string> tokens = {
-      "SELECT", "UPDATE", "INSERT", "INTO",  "VALUES", "FROM", "WHERE",
-      "SET",    "BETWEEN", "AND",   "CREATE", "DROP",  "INDEX", "ON",
-      "t",      "a",      "b",      "(",     ")",      ",",    "=",
-      "42",     "-7",     ";"};
   for (int i = 0; i < 2000; ++i) {
-    std::string soup;
-    const size_t length = rng.NextBounded(12);
-    for (size_t j = 0; j < length; ++j) {
-      soup += tokens[rng.NextBounded(tokens.size())];
-      soup += ' ';
-    }
-    auto result = ParseStatement(soup);
+    auto result = ParseStatement(TokenSoup(&rng));
     (void)result;
   }
 }
@@ -211,6 +268,90 @@ TEST_P(SqlRoundTripFuzz, TraceSoupNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlRoundTripFuzz,
+                         ::testing::Values<uint64_t>(1, 2, 3, 4, 5),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// ReadTrace binds each line straight from its tokens; ParseStatement
+// materialises an AST that BindStatement then binds. Both run the one
+// grammar and the one binder, and must answer every line alike.
+class SqlDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+/// The AST path a one-line trace must agree with.
+Result<BoundStatement> ParseCheckBind(const Schema& schema,
+                                      std::string_view line) {
+  CDPD_ASSIGN_OR_RETURN(StatementAst ast, ParseStatement(line));
+  if (std::holds_alternative<CreateIndexAst>(ast) ||
+      std::holds_alternative<DropIndexAst>(ast)) {
+    return Status::InvalidArgument(
+        "index DDL is not allowed in a workload trace");
+  }
+  return BindStatement(schema, ast);
+}
+
+/// Checks one soup as a one-line trace. ReadTrace splits at newlines,
+/// trims each line and skips blank lines and "--" comments, so the soup
+/// is flattened and trimmed first, and comments and blanks (which are
+/// not statements) are left out. Returns whether the soup was checked.
+bool ExpectTraceMatchesAstPath(const Schema& schema, std::string soup) {
+  std::replace(soup.begin(), soup.end(), '\n', ' ');
+  const std::string_view line = Trim(soup);
+  if (line.empty() || line.substr(0, 2) == "--") return false;
+  const Result<Workload> trace = ReadTrace(schema, line);
+  const Result<BoundStatement> direct = ParseCheckBind(schema, line);
+  EXPECT_EQ(trace.status().code(), direct.status().code())
+      << line << "\n  trace: " << trace.status()
+      << "\n  ast:   " << direct.status();
+  if (!direct.ok()) {
+    EXPECT_EQ(trace.status().message(), "line 1: " + direct.status().message())
+        << line;
+  } else if (trace.ok()) {
+    EXPECT_EQ(trace->statements, std::vector<BoundStatement>{*direct}) << line;
+  }
+  return true;
+}
+
+TEST_P(SqlDifferential, ByteSoup) {
+  const Schema schema = MakePaperSchema();
+  Rng rng(GetParam() ^ 0xf00d);
+  for (int i = 0; i < 2000; ++i) {
+    ExpectTraceMatchesAstPath(schema, ByteSoup(&rng));
+  }
+}
+
+TEST_P(SqlDifferential, TokenSoup) {
+  const Schema schema = MakePaperSchema();
+  Rng rng(GetParam() ^ 0xbeef);
+  int checked = 0;
+  for (int i = 0; i < 2000; ++i) {
+    checked += ExpectTraceMatchesAstPath(schema, TokenSoup(&rng)) ? 1 : 0;
+  }
+  EXPECT_GT(checked, 1500);
+}
+
+TEST_P(SqlDifferential, StatementSoup) {
+  // Every statement soup is a line; a fair share binds, and a fair
+  // share fails in each of the grammar, the DDL check and the binder.
+  const Schema schema = MakePaperSchema();
+  Rng rng(GetParam() ^ 0x5eed);
+  int bound = 0;
+  int parse_errors = 0;
+  int other_errors = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string soup = StatementSoup(&rng, schema);
+    ASSERT_TRUE(ExpectTraceMatchesAstPath(schema, soup)) << soup;
+    const StatusCode code = ReadTrace(schema, soup).status().code();
+    bound += code == StatusCode::kOk ? 1 : 0;
+    parse_errors += code == StatusCode::kParseError ? 1 : 0;
+    other_errors += code != StatusCode::kOk && code != StatusCode::kParseError;
+  }
+  EXPECT_GT(bound, 200);
+  EXPECT_GT(parse_errors, 200);
+  EXPECT_GT(other_errors, 200);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SqlDifferential,
                          ::testing::Values<uint64_t>(1, 2, 3, 4, 5),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);

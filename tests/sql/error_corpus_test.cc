@@ -227,6 +227,40 @@ constexpr CorpusCase kCorpus[] = {
      "-- c\r\n\r\n\tsElEcT a fRoM t wHeRe b = 1;\r\nUPDATE t SET c = -4 WHERE d = 9;\r\ninsert into t values (1, 2, 3, 4)",
      StatusCode::kOk,
      ""},
+    // Precedence on one line: lexical, then grammar, then the DDL
+    // rejection, then binding (the table, then columns in binder order).
+    {"TraceParseErrorBeforeUnknownColumn", Input::kTrace,
+     "SELECT zz FROM t WHERE yy BETWEEN 5 AND 1;\n",
+     StatusCode::kParseError,
+     "line 1: BETWEEN bounds out of order at offset 41 (got ';')"},
+    {"TraceUnknownTableBeforeUnknownColumn", Input::kTrace,
+     "SELECT zz FROM u WHERE a = 1\n",
+     StatusCode::kInvalidArgument,
+     "line 1: unknown table 'u' (schema is 't')"},
+    {"TraceSelectColumnBeforeWhereColumn", Input::kTrace,
+     "SELECT zz FROM t WHERE yy = 1\n",
+     StatusCode::kNotFound,
+     "line 1: no column 'zz' in table 't'"},
+    {"TraceSetColumnBeforeWhereColumn", Input::kTrace,
+     "UPDATE t SET zz = 1 WHERE yy = 2\n",
+     StatusCode::kNotFound,
+     "line 1: no column 'zz' in table 't'"},
+    {"TraceUnknownTableBeforeArity", Input::kTrace,
+     "INSERT INTO u VALUES (1, 2)\n",
+     StatusCode::kInvalidArgument,
+     "line 1: unknown table 'u' (schema is 't')"},
+    {"TraceDdlBeforeUnknownTable", Input::kTrace,
+     "SELECT a FROM t WHERE a = 1;\nCREATE INDEX ON u (zz);\n",
+     StatusCode::kInvalidArgument,
+     "line 2: index DDL is not allowed in a workload trace"},
+    {"TraceDoubleSemicolon", Input::kTrace,
+     "SELECT a FROM t WHERE a = 1;;\n",
+     StatusCode::kParseError,
+     "line 1: trailing input after statement at offset 28 (got ';')"},
+    {"TraceMixedCaseNamesBind", Input::kTrace,
+     "SELECT A FROM T WHERE B BETWEEN 1 AND 2;\nUpdate T set C = 3 where D = 4;\nINSERT INTO T VALUES (5, 6, 7, 8);\n",
+     StatusCode::kOk,
+     ""},
 };
 
 class ErrorCorpusTest : public ::testing::TestWithParam<CorpusCase> {};
