@@ -1,7 +1,8 @@
 // Substrate microbenchmarks: the physical primitives every experiment
 // stands on — B+-tree seeks, covering scans, heap scans, index build,
-// update maintenance, what-if costing throughput, and the SQL front
-// end's trace read.
+// update maintenance, what-if costing throughput, the what-if engine's
+// profile build over a 1M-statement window, and the SQL front end's
+// trace read.
 
 #include <memory>
 #include <string>
@@ -129,6 +130,26 @@ void BM_WhatIfSegmentCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WhatIfSegmentCost);
+
+void BM_WhatIfEngineBuild(benchmark::State& state) {
+  // The solve_scale window: W1 at 33,334 statements per mix block =
+  // 1,000,020 statements in 2001 stages of 500. Each iteration builds a
+  // fresh engine (the per-segment shape profiles) and probes nothing.
+  static const Workload workload = [] {
+    WorkloadGenerator gen(MakePaperSchema(), kDomain, bench_util::kSeed);
+    return MakeScaledPaperWorkload("W1", 33'334, &gen).value();
+  }();
+  static const std::vector<Segment> segments =
+      SegmentFixed(workload.size(), 500);
+  const auto model = bench_util::MakePaperCostModel();
+  for (auto _ : state) {
+    WhatIfEngine what_if(model.get(), workload.statements, segments);
+    benchmark::DoNotOptimize(what_if.workload_profile().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(workload.size()));
+}
+BENCHMARK(BM_WhatIfEngineBuild)->Unit(benchmark::kMillisecond);
 
 void BM_ApplyConfigurationRoundTrip(benchmark::State& state) {
   static Database* db =

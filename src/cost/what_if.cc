@@ -4,7 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -29,39 +29,97 @@ void CostMatrix::Finalize() {
   }
 }
 
+namespace {
+
+/// Multiplicative hash of a shape's fields; the constructor's slot
+/// index probes from its top bits. It only picks the bucket: a match
+/// always compares the whole shape.
+uint64_t ShapeHash(const StatementShape& shape) {
+  uint64_t h = static_cast<uint64_t>(shape.type);
+  for (const uint64_t field :
+       {static_cast<uint64_t>(shape.select_column),
+        static_cast<uint64_t>(shape.where_column),
+        static_cast<uint64_t>(shape.set_column),
+        static_cast<uint64_t>(shape.where_lo),
+        static_cast<uint64_t>(shape.where_hi),
+        static_cast<uint64_t>(shape.insert_arity)}) {
+    h = (h ^ field) * 0x9e3779b97f4a7c15ULL;
+  }
+  return h;
+}
+
+}  // namespace
+
 WhatIfEngine::WhatIfEngine(const CostModel* model,
                            std::span<const BoundStatement> statements,
                            std::vector<Segment> segments)
     : model_(model), segments_(std::move(segments)) {
-  profiles_.resize(segments_.size());
-  // Construction-time index from a shape to its workload_profile_
-  // slot. Shapes get slots in first-appearance order — segment order,
-  // then statement order — so the profiles are deterministic for a
-  // given statement sequence.
-  std::map<StatementShape, size_t> slot_of;
-  std::vector<StatementShape> local;  // The current segment's shapes.
+  // Built into locals and moved into the members at the end, so the
+  // hot loop reaches them without going through `this`.
+  std::vector<std::vector<ProfileTerm>> profiles(segments_.size());
+  std::vector<WorkloadShape> shapes;
+  // Construction-time index from an exact shape to its `shapes` slot:
+  // open addressing, power-of-two capacity, linear probing, grown past
+  // load 1/2. Slots are numbered in first-appearance order — segment
+  // order, then statement order — so the profiles are deterministic
+  // for a given statement sequence.
+  constexpr size_t kNone = SIZE_MAX;
+  struct Entry {
+    StatementShape shape;
+    size_t slot = kNone;
+  };
+  std::vector<Entry> table(16);
+  // A bucket is the top log2(capacity) bits of the hash.
+  int shift = 64 - std::countr_zero(table.size());
+  // The bucket holding `shape`, or the empty one it would go in.
+  const auto bucket_of = [&](const StatementShape& shape) {
+    size_t bucket = static_cast<size_t>(ShapeHash(shape) >> shift);
+    while (table[bucket].slot != kNone && !(table[bucket].shape == shape)) {
+      bucket = (bucket + 1) & (table.size() - 1);
+    }
+    return bucket;
+  };
+  // Per slot: the last segment it occurred in, and its term there.
+  struct LastSeen {
+    size_t segment = kNone;
+    size_t term = 0;
+  };
+  std::vector<LastSeen> last_seen;
   for (size_t s = 0; s < segments_.size(); ++s) {
     const Segment& segment = segments_[s];
     assert(segment.begin <= segment.end && segment.end <= statements.size());
-    std::vector<ProfileTerm>& profile = profiles_[s];
-    local.clear();
+    std::vector<ProfileTerm>& profile = profiles[s];
     for (size_t i = segment.begin; i < segment.end; ++i) {
       const StatementShape shape = StatementShape::Of(statements[i]);
-      const auto seen = std::find(local.begin(), local.end(), shape);
-      if (seen != local.end()) {
-        ++profile[static_cast<size_t>(seen - local.begin())].count;
-        continue;
+      Entry& entry = table[bucket_of(shape)];
+      size_t slot = entry.slot;
+      if (slot == kNone) {
+        slot = shapes.size();
+        entry = Entry{shape, slot};
+        shapes.push_back(WorkloadShape{shape, 0});
+        last_seen.emplace_back();
+        if (2 * shapes.size() > table.size()) {
+          table.assign(2 * table.size(), Entry{});
+          --shift;
+          for (size_t k = 0; k < shapes.size(); ++k) {
+            table[bucket_of(shapes[k].shape)] = Entry{shapes[k].shape, k};
+          }
+        }
       }
-      const auto [slot, fresh] =
-          slot_of.try_emplace(shape, workload_profile_.size());
-      if (fresh) workload_profile_.push_back(WorkloadShape{shape, 0});
-      local.push_back(shape);
-      profile.push_back(ProfileTerm{slot->second, 1});
+      LastSeen& seen = last_seen[slot];
+      if (seen.segment == s) {
+        ++profile[seen.term].count;
+      } else {
+        seen = LastSeen{s, profile.size()};
+        profile.push_back(ProfileTerm{slot, 1});
+      }
     }
     for (const ProfileTerm& term : profile) {
-      workload_profile_[term.shape].count += term.count;
+      shapes[term.shape].count += term.count;
     }
   }
+  profiles_ = std::move(profiles);
+  workload_profile_ = std::move(shapes);
 }
 
 WhatIfEngine::Memo WhatIfEngine::MemoFor(ProbeTally* tally) const {

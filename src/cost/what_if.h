@@ -152,6 +152,15 @@ class WhatIfEngine {
  public:
   /// `model` must outlive the engine. `statements` are profiled, not
   /// kept; `segments` define the stages S_1..S_n.
+  ///
+  /// Two statements share a profile term only when their shapes are
+  /// equal field for field (StatementShape::operator==); a hash only
+  /// picks where the construction-time index starts looking. The
+  /// workload slots are numbered in first-appearance order over the
+  /// segments in order, and a segment's terms follow first appearance
+  /// within that segment. Both orders are a function of the statement
+  /// sequence alone, so every profile, and every EXEC sum over one, is
+  /// the same for the same input.
   WhatIfEngine(const CostModel* model,
                std::span<const BoundStatement> statements,
                std::vector<Segment> segments);

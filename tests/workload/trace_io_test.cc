@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -140,6 +141,26 @@ TEST_F(TraceIoTest, EmptyTraceIsEmptyWorkload) {
   auto parsed = ReadTrace(schema_, "");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->size(), 0u);
+}
+
+TEST_F(TraceIoTest, ReservesOneStatementPerNewlineCappedByLength) {
+  // ReadTrace reserves min(newlines, bytes / 24) + 1 statements.
+  const std::string line = "SELECT a FROM t WHERE a = 1;\n";  // 29 bytes.
+  const std::string crlf = "SELECT a FROM t WHERE a = 1;\r\n";
+  const std::vector<std::pair<std::string, size_t>> cases = {
+      {"", 1},
+      {line, 2},
+      {line + line + "SELECT b FROM t WHERE b = 2;", 3},
+      {crlf + crlf + crlf, 4},
+      {std::string(240, '\n'), 11},
+      {"\n\n" + line, 2},
+  };
+  for (const auto& [text, reserved] : cases) {
+    auto parsed = ReadTrace(schema_, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->statements.capacity(), reserved)
+        << text.size() << " bytes";
+  }
 }
 
 }  // namespace
